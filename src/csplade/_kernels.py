@@ -57,9 +57,11 @@ def _varint_decode_jit(buf, count, out):
         result = np.uint64(0)
         shift = np.uint64(0)
         while True:
-            if pos >= buf.shape[0] or shift > np.uint64(63):
+            if pos >= buf.shape[0]:
                 return -1
             byte = buf[pos]
+            if shift == np.uint64(63) and byte > 1:  # value past 64 bits
+                return -1
             pos += 1
             result |= np.uint64(byte & 0x7F) << shift
             if byte < 0x80:
@@ -88,15 +90,17 @@ def _varint_decode_np(buf, count, out):
         result = 0
         shift = 0
         while True:
-            if pos >= buf.shape[0] or shift > 63:
+            if pos >= buf.shape[0]:
                 return -1
             byte = int(buf[pos])  # plain int: uint8 would overflow on << shift
+            if shift == 63 and byte > 1:  # value past 64 bits
+                return -1
             pos += 1
             result |= (byte & 0x7F) << shift
             if byte < 0x80:
                 break
             shift += 7
-        out[i] = result & 0xFFFFFFFFFFFFFFFF  # wrap like the uint64 jit path
+        out[i] = result
     return pos
 
 
@@ -111,22 +115,23 @@ else:
 
 
 def varint_encode(values: np.ndarray) -> bytes:
-    """Encode non-negative uint32 values as LEB128 bytes."""
+    """Encode uint64 values as LEB128 bytes (at most ten bytes each)."""
     values = np.ascontiguousarray(values, dtype=np.uint64)
-    out = np.empty(values.size * 5 + 1, dtype=np.uint8)
+    out = np.empty(values.size * 10 + 1, dtype=np.uint8)
     n = _varint_encode(values, out)
     return out[:n].tobytes()
 
 
 def varint_decode(buf: bytes, count: int, offset: int = 0):
-    """Decode `count` values starting at byte `offset`; returns (values, end).
+    """Decode `count` values starting at byte `offset`; returns (uint64
+    values, end).
 
-    Raises ValueError when the buffer ends inside a value or a value runs
-    past ten bytes.
+    Raises ValueError when the buffer ends inside a value or a value does
+    not fit in 64 bits.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)[offset:]
     out = np.empty(count, dtype=np.uint64)
     used = _varint_decode(arr, count, out)
     if used < 0:
         raise ValueError(f"truncated or overlong varint after byte {offset}")
-    return out.astype(np.uint32), offset + used
+    return out, offset + used

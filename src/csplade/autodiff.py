@@ -1,12 +1,15 @@
 """Minimal dense-tensor reverse-mode autodiff.
 
 Just enough op coverage to train the toy encoder: matmuls, pointwise
-nonlinearities, reductions, layer norm, softmax and cross-entropy.
-Training runs in float32; gradient checking should be done in float64
-(pass dtype=np.float64 when building the leaf tensors).
+nonlinearities, reductions, layer norm, softmax, cross-entropy, slicing
+and a fused multi-head attention node. Training runs in float32; gradient
+checking should be done in float64 (pass dtype=np.float64 when building the
+leaf tensors). Inside `no_grad()` no op records a graph.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -32,14 +35,33 @@ __all__ = [
     "mean_over_axis",
     "embedding",
     "masked_fill",
+    "slice_axis",
     "layer_norm",
     "softmax",
+    "attention",
     "softmax_cross_entropy",
+    "no_grad",
     "grad_check",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+ATTN_NEG = -1e9  # exp(-1e9 - max) underflows to exactly 0.0, so masked
+                 # positions contribute bit-exact zeros to attention sums
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Within this block ops build no graph: outputs never require grad."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class ShapeError(ValueError):
@@ -88,9 +110,23 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Add `g` to .grad, never writing into an existing array.
+
+        The first contribution is kept as is when it already has the dtype,
+        shape and C layout of `data`, so one array may be the .grad of
+        several tensors and nothing may update a .grad in place. Otherwise it
+        is copied, and every later sum is stored, in an array laid out like
+        `data`: the layout fixes the order of downstream float reductions.
+        """
+        data = self.data
+        if self.grad is not None:
+            self.grad = np.add(self.grad, g, out=np.empty_like(data))
+        elif (isinstance(g, np.ndarray) and g.dtype == data.dtype and g.shape == data.shape
+              and g.flags.c_contiguous and data.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.grad = np.empty_like(data)
+            self.grad[...] = g
 
     def backward(self):
         """Populate .grad on every reachable requires_grad tensor.
@@ -142,7 +178,7 @@ def _as_tensor(x):
 
 
 def _needs_grad(*ts):
-    return any(t.requires_grad for t in ts)
+    return _grad_enabled and any(t.requires_grad for t in ts)
 
 
 def _unbroadcast(grad, shape):
@@ -205,7 +241,7 @@ def scale(a, c):
     a = _as_tensor(a)
     c = float(c)
     data = a.data * c
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
@@ -237,7 +273,7 @@ def matmul(a, b):
 def relu(a):
     a = _as_tensor(a)
     data = np.maximum(a.data, 0)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
@@ -246,23 +282,24 @@ def relu(a):
     return _make(data, (a,), "relu", backward)
 
 
-def _gelu_value(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def _gelu_grad(x):
-    # Phi(x) + x * phi(x), exact (erf) form
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def _gelu_grad(x, one_plus_erf):
+    # Phi(x) + x * phi(x), exact (erf) form; one_plus_erf = 1 + erf(x / sqrt 2)
+    return 0.5 * one_plus_erf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def gelu(a):
+    """Exact (erf) GELU. erf is evaluated once; the forward of a node that
+    records a graph also finishes the derivative its backward needs."""
     a = _as_tensor(a)
-    data = _gelu_value(a.data).astype(a.dtype, copy=False)
-    if not a.requires_grad:
+    x = a.data
+    one_plus_erf = 1.0 + erf(x / _SQRT2)
+    data = (0.5 * x * one_plus_erf).astype(a.dtype, copy=False)
+    if not _needs_grad(a):
         return Tensor(data)
+    deriv = _gelu_grad(x, one_plus_erf).astype(a.dtype, copy=False)
 
     def backward(g):
-        a._accumulate(g * _gelu_grad(a.data).astype(a.dtype, copy=False))
+        a._accumulate(g * deriv)
 
     return _make(data, (a,), "gelu", backward)
 
@@ -275,11 +312,12 @@ def reparam_relu(a):
     """
     a = _as_tensor(a)
     data = np.maximum(a.data, 0)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
-        a._accumulate(g * _gelu_grad(a.data).astype(a.dtype, copy=False))
+        x = a.data
+        a._accumulate(g * _gelu_grad(x, 1.0 + erf(x / _SQRT2)).astype(a.dtype, copy=False))
 
     return _make(data, (a,), "reparam_relu", backward)
 
@@ -287,7 +325,7 @@ def reparam_relu(a):
 def log1p(a):
     a = _as_tensor(a)
     data = np.log1p(a.data)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
@@ -299,7 +337,7 @@ def log1p(a):
 def exp(a):
     a = _as_tensor(a)
     data = np.exp(a.data)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
@@ -311,7 +349,7 @@ def exp(a):
 def transpose(a, axes=None):
     a = _as_tensor(a)
     data = np.transpose(a.data, axes)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
     inv = None if axes is None else np.argsort(axes)
 
@@ -327,7 +365,7 @@ def reshape(a, shape):
         data = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
@@ -342,7 +380,7 @@ def max_over_axis(a, axis):
     if a.shape[axis] == 0:
         raise ShapeError(f"max_over_axis: empty axis {axis} of shape {a.shape}")
     data = a.data.max(axis=axis)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
     idx = np.expand_dims(a.data.argmax(axis=axis), axis)
 
@@ -357,7 +395,7 @@ def max_over_axis(a, axis):
 def sum_over_axis(a, axis=None):
     a = _as_tensor(a)
     data = a.data.sum(axis=axis)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
@@ -382,13 +420,14 @@ def embedding(weight, ids):
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
         raise ShapeError(f"embedding: ids out of range for table of {weight.shape[0]} rows")
     data = weight.data[ids]
-    if not weight.requires_grad:
+    if not _needs_grad(weight):
         return Tensor(data)
 
     def backward(g):
-        if weight.grad is None:
-            weight.grad = np.zeros_like(weight.data)
-        np.add.at(weight.grad, ids.ravel(), g.reshape(-1, weight.shape[1]))
+        # a copy, never the existing grad: grads may be shared (see _accumulate)
+        grad = np.zeros_like(weight.data) if weight.grad is None else weight.grad.copy()
+        np.add.at(grad, ids.ravel(), g.reshape(-1, weight.shape[1]))
+        weight.grad = grad
 
     return _make(data, (weight,), "embedding", backward)
 
@@ -398,13 +437,35 @@ def masked_fill(a, mask, value):
     a = _as_tensor(a)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     data = np.where(mask, np.asarray(value, dtype=a.dtype), a.data)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(data)
 
     def backward(g):
         a._accumulate(np.where(mask, 0.0, g))
 
     return _make(data, (a, ), "masked_fill", backward)
+
+
+def slice_axis(a, axis, start, stop):
+    """Entries start:stop along `axis`, as a C-contiguous copy.
+
+    The backward writes the incoming gradient into a zero array of the
+    input's shape.
+    """
+    a = _as_tensor(a)
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"slice_axis: axis {axis} out of range for shape {a.shape}")
+    key = (slice(None),) * (axis % a.ndim) + (slice(start, stop),)
+    data = np.ascontiguousarray(a.data[key])
+    if not _needs_grad(a):
+        return Tensor(data)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[key] = g
+        a._accumulate(full)
+
+    return _make(data, (a,), "slice_axis", backward)
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
@@ -441,7 +502,7 @@ def softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(p)
 
     def backward(g):
@@ -449,6 +510,64 @@ def softmax(a, axis=-1):
         a._accumulate(p * (g - dot))
 
     return _make(p, (a,), "softmax", backward)
+
+
+def attention(q, k, v, banned, heads):
+    """Multi-head scaled dot-product attention as a single graph node.
+
+    q, k, v: (B, L, d) tensors, split into `heads` heads of d // heads dims;
+    banned: bool mask broadcastable to (B, heads, L, L), True where a query
+    position may not attend to a key position. Returns the (B, L, d) context.
+
+    The forward runs the numpy calls of the primitive chain reshape,
+    transpose, matmul, scale, masked_fill (ATTN_NEG), softmax, matmul,
+    transpose, reshape on the same arrays, and the backward replays that
+    chain's backward with every intermediate gradient laid out as the chain
+    stores it, so values and gradients are bit-identical to the chain.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q, k, v must share one (B, L, d) shape, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    b, l, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: d={d} not divisible by heads={heads}")
+    dh = d // heads
+    c = float(1.0 / np.sqrt(dh))  # a Python float keeps float32 scores float32
+
+    def split(t):  # (B, L, d) -> (B, H, L, dh) view
+        return t.data.reshape(b, l, heads, dh).transpose(0, 2, 1, 3)
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    kt = k4.transpose(0, 1, 3, 2)
+    scores = np.matmul(q4, kt) * c
+    mask = np.broadcast_to(np.asarray(banned, dtype=bool), scores.shape)
+    scores = np.where(mask, np.asarray(ATTN_NEG, dtype=scores.dtype), scores)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    data = np.matmul(p, v4).transpose(0, 2, 1, 3).reshape(b, l, d)
+    if not _needs_grad(q, k, v):
+        return Tensor(data)
+
+    def merge(g4):  # (B, H, L, dh) -> (B, L, d) copy
+        return g4.transpose(0, 2, 1, 3).reshape(b, l, d)
+
+    def backward(g):
+        g4 = np.ascontiguousarray(g.reshape(b, l, heads, dh).transpose(0, 2, 1, 3))
+        if q.requires_grad or k.requires_grad:
+            gp = np.matmul(g4, np.swapaxes(v4, -1, -2))
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gs = np.where(mask, 0.0, gs) * c
+            if q.requires_grad:
+                q._accumulate(merge(np.matmul(gs, np.swapaxes(kt, -1, -2))))
+            if k.requires_grad:
+                gkt = np.matmul(np.swapaxes(q4, -1, -2), gs)
+                k._accumulate(merge(gkt.transpose(0, 1, 3, 2)))
+        if v.requires_grad:
+            v._accumulate(merge(np.matmul(np.swapaxes(p, -1, -2), g4)))
+
+    return _make(data, (q, k, v), "attention", backward)
 
 
 def softmax_cross_entropy(logits, targets, weights=None):
@@ -474,7 +593,7 @@ def softmax_cross_entropy(logits, targets, weights=None):
     logz = np.log(np.exp(shifted).sum(axis=1))
     nll = logz - shifted[np.arange(n), targets]
     data = np.asarray((w * nll).sum() / wsum, dtype=logits.dtype)
-    if not logits.requires_grad:
+    if not _needs_grad(logits):
         return Tensor(data)
 
     def backward(g):

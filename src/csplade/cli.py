@@ -46,11 +46,25 @@ def write_manifest(path, subcommand, args, outputs):
         f.write("\n")
 
 
-def _variant_of(args, model):
-    mask_mode, echo_mode = VARIANTS[args.variant]
-    model.cfg.mask_mode = mask_mode
-    model.cfg.echo_mode = echo_mode
-    return mask_mode, echo_mode
+def _variant_of(args, model, retrain=False):
+    """Resolve --variant against the checkpoint's stored mode.
+
+    Without --variant the checkpoint's mode is used (and recorded in args).
+    An explicit --variant may switch the mode only when `retrain` is set;
+    an inference subcommand rejects a mismatch instead of silently running
+    the model in a mode it was not trained in.
+    """
+    stored = (model.cfg.mask_mode, model.cfg.echo_mode)
+    stored_name = next((name for name, modes in VARIANTS.items() if modes == stored),
+                       f"{stored[0]}{'+echo' if stored[1] else ''}")
+    if args.variant is None:
+        args.variant = stored_name
+        return stored
+    if VARIANTS[args.variant] != stored and not retrain:
+        raise ValueError(f"--variant {args.variant} conflicts with the checkpoint's "
+                         f"mode {stored_name}; omit --variant to use it")
+    model.cfg.mask_mode, model.cfg.echo_mode = VARIANTS[args.variant]
+    return VARIANTS[args.variant]
 
 
 def cmd_synth(args):
@@ -82,14 +96,15 @@ def cmd_adapt(args):
 
     if args.model:
         model = EncoderModel.load(args.model)
+        _variant_of(args, model, retrain=True)
     else:
+        args.variant = args.variant or "causal"
         mask_mode, echo_mode = VARIANTS[args.variant]
         cfg = EncoderConfig(vocab_size=vocab.size, d_model=args.d_model,
                             n_layers=args.layers, n_heads=args.heads,
                             max_seq_len=args.max_seq_len, mask_mode=mask_mode,
                             echo_mode=echo_mode, seed=args.seed)
         model = EncoderModel(cfg)
-    _variant_of(args, model)
     cfg = AdaptConfig(steps=args.steps, batch_size=args.batch, seq_len=args.seq_len,
                       lr=args.lr, warmup_steps=args.warmup,
                       lambda_relu=args.lambda_relu, seed=args.seed)
@@ -109,7 +124,7 @@ def cmd_train(args):
     collection = corpus_mod.load_corpus(args.corpus)
     queries = corpus_mod.load_queries(args.queries)
     triples = corpus_mod.load_triples(args.triples)
-    mask_mode, echo_mode = _variant_of(args, model)
+    mask_mode, echo_mode = _variant_of(args, model, retrain=True)
     cfg = ContrastiveConfig(
         epochs=args.epochs, global_batch_size=args.batch,
         hard_negatives_per_positive=args.hard_negs, lr=args.lr,
@@ -208,9 +223,9 @@ def cmd_bench(args):
     return 0
 
 
-def _add_variant(p):
-    p.add_argument("--variant", choices=sorted(VARIANTS), default="causal",
-                   help="attention/input variant: causal, echo or bi")
+def _add_variant(p, default="the checkpoint's mode"):
+    p.add_argument("--variant", choices=sorted(VARIANTS), default=None,
+                   help=f"attention/input variant: causal, echo or bi (default: {default})")
 
 
 def build_parser():
@@ -249,7 +264,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
     p.add_argument("--out", required=True)
-    _add_variant(p)
+    _add_variant(p, "the --model checkpoint's mode, else causal")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("train", help="contrastive training with hard negatives")

@@ -8,7 +8,7 @@ the two mechanisms that control how much right-context a position sees.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,9 +25,6 @@ CAUSAL = "causal"
 BIDIRECTIONAL = "bidirectional"
 
 CHECKPOINT_MAGIC = b"CSPL1"
-
-_ATTN_NEG = -1e9  # exp(-1e9 - max) underflows to exactly 0.0, so masked
-                  # positions contribute bit-exact zeros to attention sums
 
 
 class SequenceTooLongError(ValueError):
@@ -57,9 +54,8 @@ class EncoderConfig:
 
     def to_text(self):
         lines = []
-        for k in ("vocab_size", "d_model", "n_layers", "n_heads", "max_seq_len",
-                  "mask_mode", "echo_mode", "seed"):
-            lines.append(f"{k}={getattr(self, k)}")
+        for f in fields(self):
+            lines.append(f"{f.name}={getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -68,6 +64,9 @@ class EncoderConfig:
         for line in text.strip().splitlines():
             k, _, v = line.partition("=")
             kv[k] = v
+        for f in fields(cls):
+            if f.name not in kv:
+                raise ValueError(f"encoder config is missing key {f.name!r}")
         return cls(
             vocab_size=int(kv["vocab_size"]),
             d_model=int(kv["d_model"]),
@@ -177,8 +176,6 @@ class EncoderModel:
         if l > cfg.max_seq_len:
             raise SequenceTooLongError(f"sequence length {l} exceeds max_seq_len {cfg.max_seq_len}")
         pm = self.params
-        d, h = cfg.d_model, cfg.n_heads
-        dh = d // h
 
         valid = np.arange(l)[None, :] < lengths[:, None]          # (B, L)
         allowed = valid[:, None, None, :]                          # keys must be valid
@@ -196,15 +193,7 @@ class EncoderModel:
             q = ad.add(ad.matmul(hn, pm[pre + "wq"]), pm[pre + "bq"])
             k = ad.add(ad.matmul(hn, pm[pre + "wk"]), pm[pre + "bk"])
             v = ad.add(ad.matmul(hn, pm[pre + "wv"]), pm[pre + "bv"])
-            # (B, L, d) -> (B, H, L, dh)
-            q = ad.transpose(ad.reshape(q, (b, l, h, dh)), (0, 2, 1, 3))
-            k = ad.transpose(ad.reshape(k, (b, l, h, dh)), (0, 2, 1, 3))
-            v = ad.transpose(ad.reshape(v, (b, l, h, dh)), (0, 2, 1, 3))
-            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-            scores = ad.masked_fill(scores, banned, _ATTN_NEG)
-            attn = ad.softmax(scores, axis=-1)
-            ctx = ad.matmul(attn, v)
-            ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, l, d))
+            ctx = ad.attention(q, k, v, banned, cfg.n_heads)
             x = ad.add(x, ad.add(ad.matmul(ctx, pm[pre + "wo"]), pm[pre + "bo"]))
 
             hn = ad.layer_norm(x, pm[pre + "ln2_g"], pm[pre + "ln2_b"])

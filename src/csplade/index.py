@@ -166,7 +166,7 @@ def brute_force_search(reps, q: SparseRep, k: int) -> SearchResult:
 # one, with -1 before the first list, so term ids strictly increase.
 
 _NUMBERED = re.compile(r"(.*?)([0-9]+)", re.S)
-_MAX_RUN_DIGITS = 9  # run numbers stay below 2**32
+_MAX_RUN_DIGITS = 19  # run numbers stay below 2**64, the varint range
 
 
 def _uvarints(*values):

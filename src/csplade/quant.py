@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import no_grad
 from .encoder import EncoderConfig, EncoderModel, TokenSequence
 
 PER_TENSOR = "per-tensor"
@@ -151,17 +151,18 @@ def bench_encode(model, queries, batch_size=1, warmup_iters=5, measure_iters=30,
         name = config_name or "fp32"
 
     seqs = list(queries)
-    for i in range(warmup_iters):
-        fwd_model.forward_logits(seqs[i % len(seqs)])
     times = np.empty(measure_iters)
-    start_all = time.perf_counter()
-    for i in range(measure_iters):
-        batch = [seqs[(i * batch_size + j) % len(seqs)] for j in range(batch_size)]
-        t0 = time.perf_counter()
-        for seq in batch:
-            fwd_model.forward_logits(seq)
-        times[i] = time.perf_counter() - t0
-    elapsed = time.perf_counter() - start_all
+    with no_grad():
+        for i in range(warmup_iters):
+            fwd_model.forward_logits(seqs[i % len(seqs)])
+        start_all = time.perf_counter()
+        for i in range(measure_iters):
+            batch = [seqs[(i * batch_size + j) % len(seqs)] for j in range(batch_size)]
+            t0 = time.perf_counter()
+            for seq in batch:
+                fwd_model.forward_logits(seq)
+            times[i] = time.perf_counter() - t0
+        elapsed = time.perf_counter() - start_all
     per_query_ms = times / batch_size * 1e3
     return LatencyReport(
         config=name,

@@ -166,7 +166,7 @@ def adaptation_loss(logits, token_ids, lambda_relu=1.0, target_weights=None):
     if l < 2:
         raise ValueError(f"adaptation_loss: need sequence length >= 2, got {l}")
     # columns are positions: predict token t+1 from position t
-    pred = _slice_rows(ad.transpose(logits), l - 1)      # (L-1, V)
+    pred = ad.slice_axis(ad.transpose(logits), 0, 0, l - 1)  # (L-1, V)
     targets = token_ids[1:]
     clm = ad.softmax_cross_entropy(pred, targets, target_weights)
     relu_clm = ad.softmax_cross_entropy(log_saturate(pred), targets, target_weights)
@@ -180,27 +180,13 @@ def adaptation_loss_batch(logits: Tensor, ids: np.ndarray, lengths: np.ndarray,
     b, l, v = logits.shape
     if l < 2:
         raise ValueError("adaptation_loss_batch: need sequence length >= 2")
-    pred = ad.reshape(_cols(logits, l - 1), (b * (l - 1), v))
+    pred = ad.reshape(ad.slice_axis(logits, 1, 0, l - 1), (b * (l - 1), v))
     targets = ids[:, 1:].reshape(-1)
     weights = (np.arange(1, l)[None, :] < lengths[:, None]).astype(np.float32).reshape(-1)
     clm = ad.softmax_cross_entropy(pred, targets, weights)
     relu_clm = ad.softmax_cross_entropy(log_saturate(pred), targets, weights)
     total = ad.add(clm, ad.scale(relu_clm, lambda_relu))
     return total, clm, relu_clm
-
-
-def _slice_rows(t: Tensor, n):
-    """First n rows of a 2-D tensor, differentiably (selection matmul)."""
-    sel = np.eye(t.shape[0], dtype=t.data.dtype)[:n]
-    return ad.matmul(Tensor(sel), t)
-
-
-def _cols(t: Tensor, n):
-    """First n entries of axis 1 of a 3-D tensor, differentiably."""
-    b, l, v = t.shape
-    sel = np.eye(l, dtype=t.data.dtype)[:n]          # (n, L)
-    # (B, L, V) -> (B, n, V)
-    return ad.matmul(Tensor(sel), t)
 
 
 def reparam_relu(x):

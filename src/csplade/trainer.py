@@ -93,7 +93,9 @@ class TrainReport:
     lr: list = field(default_factory=list)
     wall_clock: list = field(default_factory=list)
 
-    CSV_HEADER = "step,rank_loss,flops_q,flops_d,clm,relu_clm,total,dead_frac,avg_nnz_q,avg_nnz_d,lr"
+    CSV_HEADER = ("step,rank_loss,flops_q,flops_d,clm,relu_clm,total,dead_frac,"
+                  "avg_nnz_q,avg_nnz_d,lr,step_ms")
+    _CSV_HEADER_NO_TIME = CSV_HEADER.rpartition(",")[0]  # files written before step_ms
 
     def append(self, step, rank_loss=0.0, flops_q=0.0, flops_d=0.0, clm=0.0,
                relu_clm=0.0, total=0.0, dead_frac=0.0, avg_nnz_q=0.0,
@@ -122,18 +124,23 @@ class TrainReport:
                         f"{self.flops_d[i]:.6f},{self.clm[i]:.6f},{self.relu_clm[i]:.6f},"
                         f"{self.total[i]:.6f},{self.dead_frac[i]:.6f},"
                         f"{self.avg_nnz_q[i]:.3f},{self.avg_nnz_d[i]:.3f},"
-                        f"{self.lr[i]:.8f}\n")
+                        f"{self.lr[i]:.8f},{self.wall_clock[i] * 1e3:.3f}\n")
 
     @classmethod
     def from_csv(cls, path):
+        """Read a report; a file without the step_ms column loads with
+        wall_clock 0."""
         report = cls()
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().rstrip("\n")
-            if header != cls.CSV_HEADER:
+            if header not in (cls.CSV_HEADER, cls._CSV_HEADER_NO_TIME):
                 raise ValueError(f"unexpected report header in {path}")
             for line in f:
-                vals = line.rstrip("\n").split(",")
-                report.append(int(vals[0]), *[float(v) for v in vals[1:]])
+                step, *vals = line.rstrip("\n").split(",")
+                vals = [float(v) for v in vals]
+                if header == cls.CSV_HEADER:
+                    vals[-1] /= 1e3  # step_ms -> wall_clock seconds
+                report.append(int(step), *vals)
         return report
 
 
@@ -183,16 +190,18 @@ class AdamW:
 
 
 def clip_grad_norm(params, max_norm):
-    """Scale all gradients in place so their global L2 norm is <= max_norm.
+    """Scale all gradients so their global L2 norm is <= max_norm.
 
     Returns the norm before clipping. Parameters without a grad are skipped.
+    Each grad is replaced, not scaled in place: one array may be the grad of
+    several tensors (see autodiff.Tensor._accumulate).
     """
-    grads = [p.grad for p in params.values() if p.grad is not None]
-    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
+    with_grad = [p for p in params.values() if p.grad is not None]
+    norm = float(np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in with_grad)))
     if norm > max_norm:
         factor = max_norm / norm
-        for g in grads:
-            g *= factor
+        for p in with_grad:
+            p.grad = p.grad * factor
     return norm
 
 
@@ -227,11 +236,12 @@ def encode_reps_tensor(model, seqs, activation_mode=PLAIN_RELU):
 
 
 def encode_texts(model, vocab, texts, echo_mode=False):
-    """Inference path: raw texts -> list of SparseRep."""
+    """Inference path: raw texts -> list of SparseRep, building no graph."""
     reps = []
-    for text in texts:
-        seq = prepare_sequence(text, vocab, model.cfg, echo_mode)
-        reps.append(splade_pool(model.forward_logits(seq), seq.span))
+    with ad.no_grad():
+        for text in texts:
+            seq = prepare_sequence(text, vocab, model.cfg, echo_mode)
+            reps.append(splade_pool(model.forward_logits(seq), seq.span))
     return reps
 
 

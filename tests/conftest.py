@@ -53,3 +53,32 @@ def random_sparse_rep(rng, vocab_size, max_nnz=12):
     terms = np.sort(rng.choice(vocab_size, size=nnz, replace=False))
     weights = rng.uniform(0.05, 3.0, size=nnz).astype(np.float32)
     return SparseRep(terms, weights, vocab_size)
+
+
+# --- oracles for the fused autodiff ops: the primitive chains they replace ---
+
+def attention_chain(q, k, v, banned, heads):
+    """Multi-head attention as the chain of primitive autodiff nodes that
+    autodiff.attention fuses (same arguments and result)."""
+    from csplade import autodiff as ad
+    b, l, d = q.shape
+    dh = d // heads
+
+    def split(t):  # (B, L, d) -> (B, H, L, dh)
+        return ad.transpose(ad.reshape(t, (b, l, heads, dh)), (0, 2, 1, 3))
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    scores = ad.scale(ad.matmul(q4, ad.transpose(k4, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    scores = ad.masked_fill(scores, banned, ad.ATTN_NEG)
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), v4)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, l, d))
+
+
+def slice_by_matmul(a, axis, start, stop):
+    """Leading entries of axis -2 by multiplying with rows of an identity
+    matrix: the selection autodiff.slice_axis replaced."""
+    from csplade import autodiff as ad
+    from csplade.autodiff import Tensor
+    assert start == 0 and axis % a.ndim == a.ndim - 2
+    sel = np.eye(a.shape[axis], dtype=a.data.dtype)[:stop]
+    return ad.matmul(Tensor(sel), a)

@@ -215,3 +215,184 @@ def test_cross_entropy_shift_invariance(seed, shift):
     a = float(ad.softmax_cross_entropy(Tensor(logits, dtype=np.float64), t).data)
     b = float(ad.softmax_cross_entropy(Tensor(logits + shift, dtype=np.float64), t).data)
     assert abs(a - b) < 1e-9
+
+
+# --- fused attention, slicing, GELU, gradient storage, no_grad ---
+
+def _attention_masks(b, l):
+    """Banned-position masks (B, 1, L, L): bidirectional, causal, padded."""
+    lengths = np.array([l, l - 2] + [l - 1] * (b - 2))[:b]
+    padded = ~np.broadcast_to((np.arange(l)[None, :] < lengths[:, None])[:, None, None, :],
+                              (b, 1, l, l))
+    causal = ~np.tril(np.ones((l, l), dtype=bool))[None, None]
+    return {
+        "bidirectional": np.zeros((b, 1, l, l), dtype=bool),
+        "causal": np.broadcast_to(causal, (b, 1, l, l)),
+        "padded": padded,
+        "causal_padded": padded | causal,
+    }
+
+
+def _attention_grads(attend, qkv, banned, heads, upstream):
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in qkv]
+    out = attend(*leaves, banned, heads)
+    ad.sum_over_axis(ad.mul(out, Tensor(upstream))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("mask", ["bidirectional", "causal", "padded", "causal_padded"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_bit_identical_to_primitive_chain(mask, dtype):
+    from conftest import attention_chain
+    rng = np.random.default_rng(0)
+    b, l, d, heads = 3, 6, 8, 2
+    qkv = [rng.normal(size=(b, l, d)).astype(dtype) for _ in range(3)]
+    banned = _attention_masks(b, l)[mask]
+    upstream = rng.normal(size=(b, l, d)).astype(dtype)
+    fused, fused_grads = _attention_grads(ad.attention, qkv, banned, heads, upstream)
+    chain, chain_grads = _attention_grads(attention_chain, qkv, banned, heads, upstream)
+    assert fused.dtype == chain.dtype == dtype
+    assert fused.tobytes() == chain.tobytes()
+    for name, gf, gc in zip("qkv", fused_grads, chain_grads):
+        assert gf.dtype == gc.dtype and gf.tobytes() == gc.tobytes(), name
+
+
+def test_attention_is_one_node_and_masks_exactly():
+    rng = np.random.default_rng(1)
+    q, k, v = (Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    out = ad.attention(q, k, v, _attention_masks(2, 4)["causal"], 2)
+    assert out.op == "attention" and out._parents == (q, k, v)
+    # under a causal mask the first position attends only to itself
+    np.testing.assert_array_equal(out.data[:, 0], v.data[:, 0])
+    with pytest.raises(ShapeError, match="divisible"):
+        ad.attention(q, k, v, np.zeros((2, 1, 4, 4), dtype=bool), 3)
+
+
+@pytest.mark.parametrize("leaf", ["q", "k", "v"])
+@pytest.mark.parametrize("mask", ["bidirectional", "causal_padded"])
+def test_attention_gradient_matches_finite_differences(leaf, mask):
+    rng = np.random.default_rng(2)
+    b, l, d, heads = 2, 4, 4, 2
+    fixed = {name: Tensor(rng.normal(size=(b, l, d)), dtype=np.float64) for name in "qkv"}
+    banned = _attention_masks(b, l)[mask]
+    w = Tensor(rng.normal(size=(b, l, d)), dtype=np.float64)
+
+    def f(x):
+        args = dict(fixed, **{leaf: x})
+        return ad.sum_over_axis(ad.mul(ad.attention(args["q"], args["k"], args["v"],
+                                                    banned, heads), w))
+
+    assert grad_check(f, Tensor(rng.normal(size=(b, l, d)), dtype=np.float64)) < 1e-6
+
+
+@pytest.mark.parametrize("axis, start, stop", [(0, 0, 2), (1, 1, 3), (-1, 0, 3), (2, 2, 4)])
+def test_slice_axis_gradient(axis, start, stop):
+    rng = np.random.default_rng(3)
+
+    def f(x):
+        s = ad.slice_axis(x, axis, start, stop)
+        return ad.sum_over_axis(ad.mul(s, s))
+
+    x = rng.normal(size=(3, 4, 5))
+    key = (slice(None),) * (axis % 3) + (slice(start, stop),)
+    out = ad.slice_axis(Tensor(x, dtype=np.float64), axis, start, stop)
+    np.testing.assert_array_equal(out.data, x[key])
+    assert out.data.flags.c_contiguous
+    assert grad_check(f, Tensor(x, dtype=np.float64)) < 1e-6
+
+
+def test_slice_axis_bit_identical_to_identity_matmul():
+    from conftest import slice_by_matmul
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 6, 7)).astype(np.float32)
+    upstream = rng.normal(size=(3, 5, 7)).astype(np.float32)
+    results = []
+    for take in (ad.slice_axis, slice_by_matmul):
+        leaf = Tensor(x.copy(), requires_grad=True)
+        out = take(leaf, 1, 0, 5)
+        ad.sum_over_axis(ad.mul(out, Tensor(upstream))).backward()
+        results.append((out.data.tobytes(), leaf.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_slice_axis_rejects_bad_axis():
+    with pytest.raises(ShapeError, match="slice_axis"):
+        ad.slice_axis(Tensor(np.ones((2, 3))), 2, 0, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_bit_identical_to_closed_form(dtype):
+    from scipy.special import erf
+    x = np.random.default_rng(5).normal(size=(4, 6)).astype(dtype)
+    g = np.random.default_rng(6).normal(size=(4, 6)).astype(dtype)
+    leaf = Tensor(x, requires_grad=True)
+    ad.sum_over_axis(ad.mul(ad.gelu(leaf), Tensor(g))).backward()
+    deriv = 0.5 * (1.0 + erf(x / np.sqrt(2.0))) \
+        + x * (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    expected = g * deriv.astype(dtype)
+    assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == expected.tobytes()
+
+
+class TestGradientStorage:
+    def test_first_gradient_is_stored_without_copy(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        g = np.full((2, 3), 2.0, dtype=np.float32)
+        a._accumulate(g)
+        assert a.grad is g
+
+    def test_gradient_takes_layout_and_dtype_of_data(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        g = np.arange(6, dtype=np.float64).reshape(3, 2).T  # F-ordered, float64
+        a._accumulate(g)
+        assert a.grad.flags.c_contiguous and a.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, g)
+        t = Tensor(np.ones((3, 2), dtype=np.float32).T, requires_grad=True)  # F-ordered data
+        t._accumulate(np.ones((2, 3), dtype=np.float32))
+        assert t.grad.strides == np.empty_like(t.data).strides
+
+    def test_later_contributions_never_write_into_an_earlier_gradient(self):
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        g1 = np.ones(3, dtype=np.float32)
+        a._accumulate(g1)
+        a._accumulate(np.ones(3, dtype=np.float32))
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(g1, [1.0, 1.0, 1.0])
+
+    def test_add_shares_one_gradient_between_its_inputs(self):
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        ad.sum_over_axis(ad.add(a, b)).backward()
+        assert a.grad is b.grad
+
+    def test_embedding_does_not_write_into_a_shared_gradient(self):
+        w = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
+        shifted = ad.add(w, Tensor(np.zeros((3, 2), dtype=np.float32)))
+        loss = ad.add(ad.sum_over_axis(shifted), ad.sum_over_axis(ad.embedding(w, [0, 0, 2])))
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, [[3, 3], [1, 1], [2, 2]])
+        np.testing.assert_array_equal(shifted.grad, np.ones((3, 2)))
+
+
+class TestNoGrad:
+    def test_ops_build_no_graph(self):
+        x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 4)).astype(np.float32),
+                   requires_grad=True)
+        banned = np.zeros((2, 1, 3, 3), dtype=bool)
+        with ad.no_grad():
+            outs = [ad.gelu(x), ad.attention(x, x, x, banned, 2), ad.slice_axis(x, 1, 0, 2),
+                    ad.softmax_cross_entropy(ad.reshape(x, (6, 4)), np.zeros(6, dtype=int)),
+                    ad.embedding(Tensor(np.ones((5, 2)), requires_grad=True), [1, 4])]
+        for out in outs:
+            assert not out.requires_grad and out._backward is None and out._parents == ()
+
+    def test_values_equal_grad_mode_and_mode_restored(self):
+        x = Tensor(np.random.default_rng(8).normal(size=(5, 4)).astype(np.float32),
+                   requires_grad=True)
+        with ad.no_grad():
+            off = ad.layer_norm(ad.gelu(x), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        on = ad.layer_norm(ad.gelu(x), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        assert on.requires_grad and on.data.tobytes() == off.data.tobytes()
+        with pytest.raises(KeyError), ad.no_grad():
+            raise KeyError("boom")
+        assert ad.gelu(x).requires_grad

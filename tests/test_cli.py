@@ -100,7 +100,7 @@ class TestPipeline:
         work, _ = pipeline
         header = (work / "train.csv").read_text().splitlines()[0]
         assert header == ("step,rank_loss,flops_q,flops_d,clm,relu_clm,"
-                          "total,dead_frac,avg_nnz_q,avg_nnz_d,lr")
+                          "total,dead_frac,avg_nnz_q,avg_nnz_d,lr,step_ms")
 
     def test_bm25_search_path(self, pipeline, tmp_path):
         _, data = pipeline
@@ -122,6 +122,48 @@ class TestPipeline:
         lines = out.read_text().splitlines()
         assert lines[0] == "config,bits,granularity,qps,p50_ms,p95_ms,mem_bytes"
         assert [l.split(",")[0] for l in lines[1:]] == ["fp32", "int8", "int4"]
+
+
+class TestVariantFromCheckpoint:
+    def test_encode_and_search_default_to_checkpoint_mode(self, pipeline, tmp_path):
+        work, data = pipeline
+        reps = tmp_path / "reps.txt"
+        assert run_cli("encode", "--model", work / "trained.ckpt", "--vocab", work / "vocab.txt",
+                       "--input", data / "corpus.tsv", "--out", reps) == 0
+        assert reps.read_bytes() == (work / "reps.txt").read_bytes()
+        manifest = json.loads((tmp_path / "reps.txt.manifest.json").read_text())
+        assert manifest["config"]["variant"] == "bi"
+        run = tmp_path / "run.txt"
+        assert run_cli("search", "--queries", data / "queries.tsv", "--index", work / "index.bin",
+                       "--model", work / "trained.ckpt", "--vocab", work / "vocab.txt",
+                       "--k", 10, "--out", run) == 0
+        assert run.read_bytes() == (work / "run.txt").read_bytes()
+
+    @pytest.mark.parametrize("subcommand", ["encode", "search", "bench"])
+    def test_conflicting_variant_is_one_line_error(self, pipeline, tmp_path, capsys,
+                                                   subcommand):
+        work, data = pipeline
+        args = {
+            "encode": ("--input", data / "corpus.tsv"),
+            "search": ("--queries", data / "queries.tsv", "--index", work / "index.bin"),
+            "bench": ("--queries", data / "queries.tsv"),
+        }[subcommand]
+        out = tmp_path / "out.txt"
+        assert run_cli(subcommand, "--model", work / "trained.ckpt", "--vocab",
+                       work / "vocab.txt", *args, "--variant", "causal", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--variant causal conflicts with the checkpoint's mode bi" in err
+        assert not out.exists()
+
+    def test_train_keeps_checkpoint_mode_by_default(self, pipeline, tmp_path):
+        work, data = pipeline
+        out = tmp_path / "t.ckpt"
+        assert run_cli("train", "--model", work / "adapted.ckpt", "--vocab", work / "vocab.txt",
+                       "--triples", data / "triples.jsonl", "--corpus", data / "corpus.tsv",
+                       "--queries", data / "queries.tsv", "--epochs", 1, "--hard-negs", 1,
+                       "--out", out) == 0
+        assert out.read_bytes() == (work / "trained.ckpt").read_bytes()
 
 
 class TestErrors:

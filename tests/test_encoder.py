@@ -34,6 +34,13 @@ class TestConfig:
                             echo_mode=True, seed=9)
         assert EncoderConfig.from_text(cfg.to_text()) == cfg
 
+    @pytest.mark.parametrize("key", ["vocab_size", "mask_mode", "seed"])
+    def test_missing_key_named(self, key):
+        text = "".join(line + "\n" for line in EncoderConfig(vocab_size=33).to_text().splitlines()
+                       if not line.startswith(key + "="))
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            EncoderConfig.from_text(text)
+
 
 class TestForward:
     def test_single_token_shape(self):

@@ -38,7 +38,16 @@ class TestVarint:
         assert varint_encode(np.array([128], dtype=np.uint64)) == b"\x80\x01"
         assert varint_encode(np.array([300], dtype=np.uint64)) == b"\xac\x02"
 
-    @pytest.mark.parametrize("buf", [b"", b"\x80", b"\x01\xff\xff", b"\x80" * 11])
+    def test_values_past_32_bits_round_trip(self):
+        values = np.array([2 ** 32 + 5, 2 ** 63, 2 ** 64 - 1, 7], dtype=np.uint64)
+        buf = varint_encode(values)
+        assert varint_encode(np.array([2 ** 64 - 1], dtype=np.uint64)) == b"\xff" * 9 + b"\x01"
+        out, end = varint_decode(buf, len(values))
+        assert out.dtype == np.uint64 and end == len(buf)
+        assert out.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("buf", [b"", b"\x80", b"\x01\xff\xff", b"\x80" * 11,
+                                     b"\xff" * 9 + b"\x02"])  # the last one is 2 ** 64
     def test_truncated_or_overlong_rejected(self, buf):
         with pytest.raises(ValueError, match="varint"):
             varint_decode(buf, 2 if buf.startswith(b"\x01") else 1)
@@ -264,6 +273,7 @@ class TestDocTable:
         (["d7", "d8"], 4),
         (["d0"], 3),                          # a lone id stays a literal
         (["d01", "d02"], 8),                  # leading zeros: two literals
+        ([f"d{10 ** 18 + i}" for i in range(3)], 12),  # 19-digit run: first n takes 9 bytes
     ])
     def test_doc_table_size(self, doc_ids, table_bytes):
         # no postings: magic (7) + header (13) + doc table + list count (4)
@@ -313,6 +323,18 @@ class TestCorruptIndex:
     def test_term_id_beyond_vocab(self, tmp_path):
         body = struct.pack("<I", 1) + b"\x0a\x02" + b"\x03" + b"\x01\x02"
         with pytest.raises(IndexFormatError, match="vocab size 10 at byte"):
+            self._load(tmp_path, _raw(2, self.TABLE_AB, body))
+
+    @pytest.mark.parametrize("gap, count, match", [
+        (3, 2 ** 32 + 2, "posting count 4294967298"),  # read as 2 when cut to 32 bits
+        (2 ** 32 + 3, 2, "term id 4294967299"),        # read as term 3 when cut to 32 bits
+    ])
+    def test_header_varints_past_32_bits_rejected(self, tmp_path, gap, count, match):
+        ok = struct.pack("<I", 1) + b"\x03\x02" + b"\x03" + b"\x01\x02"
+        assert self._load(tmp_path, _raw(2, self.TABLE_AB, ok)).postings[3]
+        body = struct.pack("<I", 1) + varint_encode(np.array([gap, count], dtype=np.uint64)) \
+            + b"\x03" + b"\x01\x02"
+        with pytest.raises(IndexFormatError, match=match):
             self._load(tmp_path, _raw(2, self.TABLE_AB, body))
 
     def test_malformed_run(self, tmp_path):

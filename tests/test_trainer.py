@@ -84,6 +84,33 @@ class TestHelpers:
             dead_dim_fraction([])
 
 
+class TestEncodeTexts:
+    def test_no_graph_and_bit_equal_to_grad_mode(self, small_data, monkeypatch):
+        corpus, *_, vocab = small_data
+        model = small_model(vocab)
+        texts = list(corpus.values())[:5]
+        logits_out = []
+        original = model.forward_batch
+
+        def spy(ids, lengths):
+            out = original(ids, lengths)
+            logits_out.append(out)
+            return out
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        reps = trainer.encode_texts(model, vocab, texts)
+        assert len(logits_out) == len(texts)
+        for out in logits_out:
+            assert not out.requires_grad and out._backward is None
+        logits_out.clear()
+        for text, rep in zip(texts, reps):
+            seq = prepare_sequence(text, vocab, model.cfg, False)
+            graph = trainer.splade_pool(model.forward_logits(seq), seq.span)
+            assert logits_out[-1].requires_grad  # grad mode did build a graph
+            assert graph.term_ids.tobytes() == rep.term_ids.tobytes()
+            assert graph.weights.tobytes() == rep.weights.tobytes()
+
+
 class TestTrainReport:
     def test_csv_round_trip(self, tmp_path):
         r = TrainReport()
@@ -93,11 +120,29 @@ class TestTrainReport:
         r.append(1, rank_loss=1.2, total=1.2)
         path = tmp_path / "report.csv"
         r.to_csv(path)
-        assert path.read_text().splitlines()[0] == TrainReport.CSV_HEADER
+        lines = path.read_text().splitlines()
+        assert lines[0] == TrainReport.CSV_HEADER
+        assert lines[0].endswith(",step_ms") and lines[1].endswith(",10.000")
         loaded = TrainReport.from_csv(path)
         assert loaded.steps == [0, 1]
         assert loaded.rank_loss == pytest.approx([1.5, 1.2])
         assert loaded.dead_frac == pytest.approx([0.25, 0.0])
+        assert loaded.wall_clock == pytest.approx([0.01, 0.0])
+
+    def test_reads_report_without_step_ms(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("step,rank_loss,flops_q,flops_d,clm,relu_clm,total,dead_frac,"
+                        "avg_nnz_q,avg_nnz_d,lr\n"
+                        "3,1.5,0.1,0.2,0.0,0.0,1.8,0.25,3.0,5.0,0.001\n")
+        loaded = TrainReport.from_csv(path)
+        assert loaded.steps == [3] and loaded.lr == pytest.approx([0.001])
+        assert loaded.wall_clock == [0.0]
+
+    def test_unknown_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("step,loss\n0,1.0\n")
+        with pytest.raises(ValueError, match="header"):
+            TrainReport.from_csv(path)
 
 
 class TestAdaptation:
@@ -224,6 +269,27 @@ class TestContrastive:
         assert max(pre_clip) > trainer.GRAD_CLIP_NORM  # clipping was exercised
         assert max(post_clip) <= trainer.GRAD_CLIP_NORM * (1 + 1e-5)
 
+    def test_fused_ops_bit_identical_to_primitive_chains(self, small_data, monkeypatch):
+        """Adaptation then contrastive training gives the same parameter bits
+        with the fused attention and slice nodes as with the primitive
+        chains they replace."""
+        from conftest import attention_chain, slice_by_matmul
+        corpus, queries, _, triples, vocab = small_data
+
+        def train():
+            model = small_model(vocab, mask_mode=CAUSAL, seed=4)
+            run_adaptation(model, corpus.values(), vocab,
+                           AdaptConfig(steps=3, warmup_steps=1, seq_len=16, seed=4))
+            model.cfg.mask_mode = BIDIRECTIONAL
+            run_contrastive(model, triples, corpus, queries, vocab,
+                            ContrastiveConfig(epochs=1, mask_mode=BIDIRECTIONAL, seed=4))
+            return {k: p.data.tobytes() for k, p in model.params.items()}
+
+        fused = train()
+        monkeypatch.setattr(trainer.ad, "attention", attention_chain)
+        monkeypatch.setattr(trainer.ad, "slice_axis", slice_by_matmul)
+        assert train() == fused
+
     def test_variant_table(self):
         assert VARIANTS["causal"] == (CAUSAL, False)
         assert VARIANTS["echo"] == (CAUSAL, True)
@@ -246,6 +312,21 @@ class TestClipGradNorm:
         np.testing.assert_allclose(params["p0"].grad, [0.6, 0.0], rtol=1e-6)
         np.testing.assert_allclose(params["p1"].grad, [0.0, 0.8], rtol=1e-6)
         assert params["p2"].grad is None
+
+    def test_shared_gradient_scaled_once_per_parameter(self):
+        from csplade import autodiff as ad
+        from csplade.autodiff import Tensor
+        a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        w = Tensor(np.array([3.0, 4.0], dtype=np.float32))
+        ad.sum_over_axis(ad.mul(ad.add(a, b), w)).backward()
+        assert a.grad is b.grad  # add hands both inputs the same array
+        params = {"a": a, "b": b}
+        norm = trainer.clip_grad_norm(params, 1.0)  # global norm sqrt(50)
+        assert norm == pytest.approx(np.sqrt(50.0))
+        for p in params.values():
+            np.testing.assert_allclose(p.grad, np.array([3.0, 4.0]) / np.sqrt(50.0),
+                                       rtol=1e-6)
 
     def test_small_gradients_untouched(self):
         params = self._params([0.3, 0.4])
