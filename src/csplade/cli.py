@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,16 +19,6 @@ from . import __version__, corpus as corpus_mod, evalkit, index as index_mod
 from . import quant, splade, trainer
 from .encoder import EncoderConfig, EncoderModel
 from .trainer import VARIANTS, AdaptConfig, ContrastiveConfig
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("CSPLADE_THREADS")
-    if cap:
-        try:
-            import numba
-            numba.set_num_threads(max(1, int(cap)))
-        except (ImportError, ValueError):
-            pass
 
 
 def write_manifest(path, subcommand, args, outputs):
@@ -336,7 +325,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

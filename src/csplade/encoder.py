@@ -227,7 +227,10 @@ class EncoderModel:
             blob = f.read()
         if not blob.startswith(CHECKPOINT_MAGIC + b"\n"):
             raise ValueError(f"bad checkpoint magic in {path}")
-        head_end = blob.index(b"\n\n", len(CHECKPOINT_MAGIC))
+        head_end = blob.find(b"\n\n", len(CHECKPOINT_MAGIC))
+        if head_end < 0:
+            raise ValueError(f"unterminated config block in checkpoint {path}: "
+                             "no blank line after the config")
         cfg = EncoderConfig.from_text(blob[len(CHECKPOINT_MAGIC) + 1:head_end].decode("utf-8"))
         model = cls(cfg)
         buf = io.BytesIO(blob[head_end + 2:])

@@ -2,8 +2,18 @@
 
 Impacts are linearly quantized against the collection-wide maximum
 weight (floor 1 so no posting vanishes), doc ordinals are Elias-Fano coded
-per posting list, numbered doc ids are stored as runs, and scoring is
-term-at-a-time into a dense float64 accumulator.
+per posting list and numbered doc ids are stored as runs.
+
+Scoring is term-at-a-time into a dense float64 accumulator. In memory, a
+posting list dense enough that a full-length impact row costs no more
+bytes than its ordinals plus impacts is also held as that row (0 marks an
+absent doc), and is scored by whole-row multiply-adds; sparser lists are
+scattered by ordinal. Top-k partitions the scores at the k-th largest and
+sorts only the candidates at or above it. Learned sparse weights make most
+lists dense, which favours this exhaustive accumulation (Mackenzie, Trotman
+& Lin, "Wacky Weights in Learned Sparse Representations and the Revenge of
+Score-at-a-Time Query Evaluation", 2021). The rows change neither the
+rankings nor the file format.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import accumulate_postings, varint_decode, varint_encode
+from ._kernels import varint_decode, varint_encode
 from .splade import SparseRep
 
 MAGIC = b"CSPIDX2"
@@ -39,6 +49,15 @@ class InvertedIndex:
         self.scale = scale
         self.doc_ids = list(doc_ids)
         self.postings = postings  # dict term_id -> PostingList
+        # term_id -> full-length impact row, for lists where the row is no
+        # larger than ordinals (4 bytes each) plus impacts (w bytes each)
+        self.rows = {}
+        for t, plist in postings.items():
+            w = plist.impacts.itemsize
+            if len(plist.ordinals) * (4 + w) >= self.doc_count * w:
+                row = np.zeros(self.doc_count, dtype=plist.impacts.dtype)
+                row[plist.ordinals] = plist.impacts
+                self.rows[t] = row
 
     @property
     def doc_count(self):
@@ -119,19 +138,32 @@ def search(index: InvertedIndex, q: SparseRep, k: int) -> SearchResult:
     if index.vocab_size and q.vocab_size != index.vocab_size:
         raise ValueError(f"vocab mismatch: query {q.vocab_size} vs index {index.vocab_size}")
     acc = np.zeros(index.doc_count, dtype=np.float64)
-    factor = index.dequant_factor()
+    buf = np.empty_like(acc)
+    factor = np.float64(index.dequant_factor())
+    # per posting: acc += qw * (impact * factor), so both forms sum the same
+    # float64 values in the same order; an absent doc in a row adds +0.0
     for t, qw in zip(q.term_ids, q.weights):
-        plist = index.postings.get(int(t))
-        if plist is None:
+        t, qw = int(t), float(qw)
+        row = index.rows.get(t)
+        if row is not None:
+            np.multiply(row, factor, out=buf)
+            buf *= qw
+            acc += buf
             continue
-        accumulate_postings(plist.ordinals.astype(np.int64),
-                            plist.impacts.astype(np.float64) * factor,
-                            float(qw), acc)
+        plist = index.postings.get(t)
+        if plist is not None:
+            np.add.at(acc, plist.ordinals, qw * (plist.impacts.astype(np.float64) * factor))
     cand = np.flatnonzero(acc > 0)
     if cand.size == 0:
         return SearchResult([], np.empty(0))
+    scores = acc[cand]
+    if cand.size > k:
+        # keep every score tied with the k-th largest, so the sort below
+        # still breaks those ties by ordinal
+        keep = scores >= np.partition(scores, cand.size - k)[cand.size - k]
+        cand, scores = cand[keep], scores[keep]
     # sort by (-score, ordinal); lexsort uses the last key as primary
-    order = np.lexsort((cand, -acc[cand]))[:k]
+    order = np.lexsort((cand, -scores))[:k]
     chosen = cand[order]
     return SearchResult([index.doc_ids[i] for i in chosen], acc[chosen])
 

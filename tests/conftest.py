@@ -55,6 +55,24 @@ def random_sparse_rep(rng, vocab_size, max_nnz=12):
     return SparseRep(terms, weights, vocab_size)
 
 
+def scatter_add_search(index, q, k):
+    """Term-at-a-time search with no dense rows and no partition: every
+    posting list is scatter-added by ordinal into a float64 accumulator,
+    then every candidate is sorted by (-score, ordinal). index.search must
+    return the same doc ids and float64 scores bit for bit.
+    Returns (doc ids, scores)."""
+    acc = np.zeros(index.doc_count, dtype=np.float64)
+    factor = index.dequant_factor()
+    for t, qw in zip(q.term_ids, q.weights):
+        plist = index.postings.get(int(t))
+        if plist is not None:
+            acc[plist.ordinals.astype(np.int64)] += \
+                float(qw) * (plist.impacts.astype(np.float64) * factor)
+    cand = np.flatnonzero(acc > 0)
+    chosen = cand[np.lexsort((cand, -acc[cand]))][:k]
+    return [index.doc_ids[i] for i in chosen], acc[chosen]
+
+
 # --- oracles for the fused autodiff ops: the primitive chains they replace ---
 
 def attention_chain(q, k, v, banned, heads):

@@ -173,6 +173,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             EncoderModel.load(path)
 
+    def test_unterminated_config_block(self, tmp_path):
+        path = tmp_path / "head.ckpt"
+        path.write_bytes(b"CSPL1\nvocab_size=5\n")
+        with pytest.raises(ValueError, match=r"unterminated config block .*head\.ckpt"):
+            EncoderModel.load(path)
+
     def test_truncation_detected(self, tmp_path):
         m = make_model()
         path = tmp_path / "m.ckpt"

@@ -1,5 +1,6 @@
 """Inverted-index tests: quantization, search oracle, serialization."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sparse_rep
+from conftest import random_sparse_rep, scatter_add_search
 from csplade._kernels import varint_decode, varint_encode
 from csplade.index import (MAGIC, IndexFormatError, brute_force_search,
                            build_index, deserialize, ef_decode, ef_encode,
@@ -181,6 +182,79 @@ class TestSearch:
         assert (np.diff(result.scores) <= 1e-12).all()
 
 
+def _layout_docs(rng, layout, n_docs=60, vocab_size=16):
+    """Docs whose posting lists are all sparse (in under 15 % of the docs,
+    below every width's dense-row threshold), all full (in every doc), or
+    mixed: sparse at even term ids, in 60-100 % of the docs at odd ones.
+    Weights come from a small set, so scores often tie."""
+    sparse, full = (0.02, 0.15), (1.0, 1.0)
+    ranges = {"sparse": (sparse, sparse), "full": (full, full),
+              "mixed": (sparse, (0.6, 1.0))}[layout]
+    member = np.zeros((vocab_size, n_docs), dtype=bool)
+    for t in range(vocab_size):
+        lo, hi = ranges[t % 2]
+        count = max(1, int(round(rng.uniform(lo, hi) * n_docs)))
+        member[t, rng.choice(n_docs, size=count, replace=False)] = True
+    levels = rng.uniform(0.05, 3.0, size=4)
+    docs = []
+    for d in range(n_docs):
+        terms = np.flatnonzero(member[:, d])
+        docs.append((f"d{d}", SparseRep(terms, rng.choice(levels, size=terms.size),
+                                        vocab_size)))
+    return docs
+
+
+def _assert_search_is_scatter_add(idx, q, k):
+    got = search(idx, q, k)
+    want_ids, want_scores = scatter_add_search(idx, q, k)
+    assert got.doc_ids == want_ids
+    assert got.scores.dtype == np.float64
+    assert got.scores.tobytes() == want_scores.tobytes()
+
+
+class TestSearchMatchesScatterAdd:
+    """Dense rows, sparse lists and the partition top-k give the rankings and
+    float64 scores of plain term-at-a-time scatter-add, bit for bit."""
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    @pytest.mark.parametrize("layout", ["sparse", "full", "mixed"])
+    def test_random_indexes(self, layout, bits):
+        rng = np.random.default_rng([bits, len(layout)])
+        for _ in range(4):
+            idx = build_index(_layout_docs(rng, layout), bits=bits)
+            dense, lists = len(idx.rows), len(idx.postings)
+            assert {"sparse": dense == 0, "full": dense == lists,
+                    "mixed": 0 < dense < lists}[layout]
+            for k in (1, 5, 10, 100):
+                _assert_search_is_scatter_add(idx, random_sparse_rep(rng, 16), k)
+
+    def test_dense_row_rule(self):
+        # 8-bit, 10 docs: a row is 10 bytes; a list costs 5 bytes per posting
+        docs = [(f"d{i}", rep([(1, 1.0)] + ([(2, 1.0)] if i < 2 else [])
+                             + ([(3, 1.0)] if i < 1 else []))) for i in range(10)]
+        idx = build_index(docs, bits=8)
+        assert sorted(idx.rows) == [1, 2]
+        assert idx.rows[2].tolist() == [255, 255] + [0] * 8
+
+    @pytest.mark.parametrize("bits", [0, 8])
+    def test_ties_at_kth_score(self, bits):
+        rng = np.random.default_rng(4)
+        tied = rep([(1, 1.0), (2, 0.5)])
+        docs = [(f"d{i}", tied if i % 3 else random_sparse_rep(rng, 10, max_nnz=4))
+                for i in range(60)]
+        idx = build_index(docs, bits=bits)
+        q = rep([(1, 0.7), (2, 1.3), (5, 0.2)])
+        for k in (1, 3, 10, 39, 40, 41):
+            _assert_search_is_scatter_add(idx, q, k)
+
+    def test_k_above_candidates_and_empty_query(self):
+        rng = np.random.default_rng(5)
+        idx = build_index(_layout_docs(rng, "mixed"), bits=8)
+        q = rep([(int(next(iter(idx.postings))), 1.0)], 16)
+        _assert_search_is_scatter_add(idx, q, idx.doc_count + 5)
+        assert len(search(idx, rep([], 16), 10)) == 0
+
+
 class TestSerialization:
     def _random_index(self, seed, bits, n=25):
         rng = np.random.default_rng(seed)
@@ -243,6 +317,21 @@ class TestSerialization:
         serialize(self._random_index(5, 8), a)
         serialize(self._random_index(5, 8), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("bits, sha256", [  # CSPIDX2 bytes before dense rows
+        (0, "2070420a291627334c1400b5e62f8314ee82ff547f862821d7d2860416b39665"),
+        (8, "f7177698d67a4adf418be7d758be83a5e92e5f760236b9beeaab6996e31b7afb"),
+        (16, "04fe2b78f6e0ac8b41f98f1d0e401047ea8aa2e264bb4e71978c75f5bfc288c4"),
+    ])
+    def test_bytes_unchanged_by_dense_rows(self, tmp_path, bits, sha256):
+        idx = build_index(_layout_docs(np.random.default_rng(6), "mixed"), bits=bits)
+        assert 0 < len(idx.rows) < len(idx.postings)
+        path = tmp_path / "idx.bin"
+        serialize(idx, path)
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == sha256
+        serialize(deserialize(path), path)
+        assert path.read_bytes() == blob
 
 
 def _index_over(doc_ids):

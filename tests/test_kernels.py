@@ -8,20 +8,8 @@ import numpy as np
 import pytest
 
 from csplade import _kernels
-from csplade._kernels import (_accumulate_np, _varint_decode_np,
-                              _varint_encode_np, accumulate_postings,
+from csplade._kernels import (_varint_decode_np, _varint_encode_np,
                               varint_decode, varint_encode)
-
-
-def test_accumulate_fallback_matches_active_kernel():
-    rng = np.random.default_rng(0)
-    ordinals = np.sort(rng.choice(200, size=50, replace=False)).astype(np.int64)
-    impacts = rng.uniform(0.1, 3.0, size=50)
-    acc_a = np.zeros(200)
-    acc_b = np.zeros(200)
-    accumulate_postings(ordinals, impacts, 1.7, acc_a)
-    _accumulate_np(ordinals, impacts, 1.7, acc_b)
-    np.testing.assert_array_equal(acc_a, acc_b)
 
 
 def test_varint_fallback_matches_active_kernel():
@@ -42,7 +30,6 @@ def test_numba_env_flag_selects_fallback():
     code = (
         "import csplade._kernels as k\n"
         "assert not k.USE_NUMBA\n"
-        "assert k.accumulate_postings is k._accumulate_np\n"
         "import numpy as np\n"
         "buf = k.varint_encode(np.array([0, 127, 128, 300], dtype=np.uint64))\n"
         "vals, end = k.varint_decode(buf, 4)\n"
