@@ -251,21 +251,38 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """a @ b. Either operand may carry leading batch dims; numpy rules apply."""
+    """a @ b. Either operand may carry leading batch dims; numpy rules apply.
+
+    With a 2-D `b` the leading axes of `a` are folded into rows, so the
+    forward and both gradients are one GEMM each; the weight gradient is
+    a2.T @ g2 rather than one GEMM per batch entry and a sum.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[0 if b.ndim == 1 else -2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = np.matmul(a.data, b.data)
+    rows = a.ndim >= 2 and b.ndim == 2
+    if rows:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+    else:
+        data = np.matmul(a.data, b.data)
     if not _needs_grad(a, b):
         return Tensor(data)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+        if rows:
+            g2 = g.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a2.T @ g2)
+        else:
+            if a.requires_grad:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                a._accumulate(_unbroadcast(ga, a.shape))
+            if b.requires_grad:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), "matmul", backward)
 
@@ -282,21 +299,28 @@ def relu(a):
     return _make(data, (a,), "relu", backward)
 
 
+def _one_plus_erf(x):
+    # 1 + erf(x / sqrt 2) in the dtype of x: a float64 constant would make
+    # every float32 temporary float64 (NEP 50)
+    return 1.0 + erf(x / x.dtype.type(_SQRT2))
+
+
 def _gelu_grad(x, one_plus_erf):
-    # Phi(x) + x * phi(x), exact (erf) form; one_plus_erf = 1 + erf(x / sqrt 2)
-    return 0.5 * one_plus_erf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    # Phi(x) + x * phi(x), exact (erf) form, in the dtype of x
+    return 0.5 * one_plus_erf + x * x.dtype.type(_INV_SQRT_2PI) * np.exp(-0.5 * x * x)
 
 
 def gelu(a):
-    """Exact (erf) GELU. erf is evaluated once; the forward of a node that
-    records a graph also finishes the derivative its backward needs."""
+    """Exact (erf) GELU, evaluated in the input's dtype. erf is evaluated
+    once; the forward of a node that records a graph also finishes the
+    derivative its backward needs."""
     a = _as_tensor(a)
     x = a.data
-    one_plus_erf = 1.0 + erf(x / _SQRT2)
-    data = (0.5 * x * one_plus_erf).astype(a.dtype, copy=False)
+    one_plus_erf = _one_plus_erf(x)
+    data = 0.5 * x * one_plus_erf
     if not _needs_grad(a):
         return Tensor(data)
-    deriv = _gelu_grad(x, one_plus_erf).astype(a.dtype, copy=False)
+    deriv = _gelu_grad(x, one_plus_erf)
 
     def backward(g):
         a._accumulate(g * deriv)
@@ -317,7 +341,7 @@ def reparam_relu(a):
 
     def backward(g):
         x = a.data
-        a._accumulate(g * _gelu_grad(x, 1.0 + erf(x / _SQRT2)).astype(a.dtype, copy=False))
+        a._accumulate(g * _gelu_grad(x, _one_plus_erf(x)))
 
     return _make(data, (a,), "reparam_relu", backward)
 
@@ -414,7 +438,12 @@ def mean_over_axis(a, axis=None):
 
 
 def embedding(weight, ids):
-    """Row lookup: ids of any integer shape -> ids.shape + (d,)."""
+    """Row lookup: ids of any integer shape -> ids.shape + (d,).
+
+    The backward groups the gradient rows by id with a stable sort of the
+    ids, made once when the graph is recorded, and sums every group with
+    one np.add.reduceat.
+    """
     weight = _as_tensor(weight)
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
@@ -422,11 +451,17 @@ def embedding(weight, ids):
     data = weight.data[ids]
     if not _needs_grad(weight):
         return Tensor(data)
+    flat = ids.ravel()
+    order = np.argsort(flat, kind="stable")
+    grouped = flat[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))  # first row of each id
+    rows = grouped[starts]
 
     def backward(g):
         # a copy, never the existing grad: grads may be shared (see _accumulate)
         grad = np.zeros_like(weight.data) if weight.grad is None else weight.grad.copy()
-        np.add.at(grad, ids.ravel(), g.reshape(-1, weight.shape[1]))
+        if flat.size:
+            grad[rows] += np.add.reduceat(g.reshape(-1, weight.shape[1])[order], starts, axis=0)
         weight.grad = grad
 
     return _make(data, (weight,), "embedding", backward)

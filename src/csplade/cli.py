@@ -9,8 +9,11 @@ a fixed seed. Subcommands communicate through files only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +24,44 @@ from .encoder import EncoderConfig, EncoderModel
 from .trainer import VARIANTS, AdaptConfig, ContrastiveConfig
 
 
+# arguments that name a file a subcommand reads
+INPUT_ARGS = ("corpus", "model", "vocab", "triples", "queries", "input", "reps",
+              "index", "run", "qrels")
+
+
+def _sha256(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def input_hashes(args):
+    """{path: sha256} of every existing file named by an input argument."""
+    paths = (getattr(args, name, None) for name in INPUT_ARGS)
+    return {p: _sha256(p) for p in paths if isinstance(p, str) and Path(p).is_file()}
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
 def write_manifest(path, subcommand, args, outputs):
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    """The resolved config plus the environment, the sha256 of each input
+    (hashed by `main` before the stage ran) and the stage's wall time."""
+    config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     manifest = {
         "subcommand": subcommand,
         "config": config,
+        "env": environment(),
+        "inputs": args._inputs,
         "outputs": sorted(str(o) for o in outputs),
         "seed": config.get("seed"),
         "version": __version__,
+        "wall_s": round(time.perf_counter() - args._started, 6),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
@@ -328,6 +361,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args._started = time.perf_counter()
+        args._inputs = input_hashes(args)
         return args.func(args)
     except Exception as exc:  # data/contract errors -> exit 1, one line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +16,28 @@ DEFAULT_B = 0.4
 
 @dataclass
 class CollectionStats:
+    """Collection statistics plus per-term postings for BM25.
+
+    `postings` maps a term to (doc ordinals ascending, term frequencies),
+    both int64 arrays; an ordinal indexes `doc_ids` and `doc_lengths`.
+    """
     n_docs: int
     avg_doc_len: float
     doc_freq: dict          # term -> document frequency
-    doc_len: dict           # doc id -> token count
-    doc_tf: dict            # doc id -> Counter of term frequencies
+    doc_ids: list           # doc id of each ordinal, in collection order
+    doc_lengths: np.ndarray  # token count of each ordinal
+    postings: dict          # term -> (ordinals, tf)
+    id_rank: np.ndarray     # position of each ordinal's doc id in sorted id order
+
+    @property
+    def doc_tf(self):
+        """doc id -> {term: tf}, rebuilt from the postings (perfbench's
+        BM25 counters read it)."""
+        out = {doc_id: {} for doc_id in self.doc_ids}
+        for term, (ordinals, tf) in self.postings.items():
+            for o, f in zip(ordinals.tolist(), tf.tolist()):
+                out[self.doc_ids[o]][term] = f
+        return out
 
 
 def _terms(text):
@@ -29,20 +46,30 @@ def _terms(text):
 
 def build_stats(corpus) -> CollectionStats:
     """corpus: dict doc_id -> raw text."""
-    doc_freq = {}
-    doc_len = {}
-    doc_tf = {}
-    total = 0
-    for doc_id, text in corpus.items():
+    doc_ids = list(corpus)
+    n = len(doc_ids)
+    vocab = {}          # term -> id, in first-seen order
+    token_ids = []
+    lengths = np.empty(n, dtype=np.int64)
+    for i, text in enumerate(corpus.values()):
         toks = _terms(text)
-        tf = Counter(toks)
-        doc_tf[doc_id] = tf
-        doc_len[doc_id] = len(toks)
-        total += len(toks)
-        for term in tf:
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-    n = len(corpus)
-    return CollectionStats(n, total / n if n else 0.0, doc_freq, doc_len, doc_tf)
+        lengths[i] = len(toks)
+        token_ids.extend([vocab.setdefault(t, len(vocab)) for t in toks])
+    # one key per (term, doc) occurrence; unique keys sort by term, then doc
+    width = max(n, 1)
+    keys = np.asarray(token_ids, dtype=np.int64) * width + np.repeat(np.arange(n), lengths)
+    keys, tf = np.unique(keys, return_counts=True)
+    term_of, ordinals = np.divmod(keys, width)
+    bounds = np.append(np.flatnonzero(np.diff(term_of, prepend=-1)), len(keys))
+    terms = list(vocab)
+    postings, doc_freq = {}, {}
+    for t, lo, hi in zip(term_of[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        postings[terms[t]] = (ordinals[lo:hi], tf[lo:hi])
+        doc_freq[terms[t]] = hi - lo
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+    avg = int(lengths.sum()) / n if n else 0.0
+    return CollectionStats(n, avg, doc_freq, doc_ids, lengths, postings, id_rank)
 
 
 def _idf(stats, term):
@@ -66,23 +93,32 @@ def bm25_score(query_tokens, doc_tokens, stats: CollectionStats,
 
 def bm25_search(corpus, query_text, stats: CollectionStats, k,
                 k1=DEFAULT_K1, b=DEFAULT_B) -> SearchResult:
-    """Exhaustive BM25 over the collection; ties break by doc id ascending."""
-    q = _terms(query_text)
-    scored = []
-    for doc_id in corpus:
-        tf = stats.doc_tf[doc_id]
-        dl = stats.doc_len[doc_id]
-        norm = k1 * (1.0 - b + b * dl / stats.avg_doc_len) if stats.avg_doc_len else k1
-        s = 0.0
-        for term in q:
-            f = tf.get(term, 0)
-            if f:
-                s += _idf(stats, term) * f * (k1 + 1.0) / (f + norm)
-        if s > 0:
-            scored.append((doc_id, s))
-    scored.sort(key=lambda x: (-x[1], x[0]))
-    top = scored[:k]
-    return SearchResult([d for d, _ in top], np.array([s for _, s in top]))
+    """Exhaustive BM25 over the collection `stats` was built from (`corpus`);
+    ties break by doc id ascending.
+
+    Term at a time: each query term, in query order and repeats included,
+    adds the float64 expression of `bm25_score` to the scores of the docs
+    in its posting list, so every doc's score is the same sum bit for bit.
+    """
+    if len(corpus) != stats.n_docs:
+        raise ValueError(f"bm25_search: corpus has {len(corpus)} docs, stats {stats.n_docs}")
+    acc = np.zeros(stats.n_docs, dtype=np.float64)
+    for term in _terms(query_text):
+        posting = stats.postings.get(term)
+        if posting is None:
+            continue
+        ordinals, f = posting
+        if stats.avg_doc_len:
+            norm = k1 * (1.0 - b + b * stats.doc_lengths[ordinals] / stats.avg_doc_len)
+        else:
+            norm = k1
+        acc[ordinals] += _idf(stats, term) * f * (k1 + 1.0) / (f + norm)
+    cand = np.flatnonzero(acc > 0)
+    if 0 < k < len(cand):
+        kth = np.partition(acc[cand], len(cand) - k)[len(cand) - k]
+        cand = cand[acc[cand] >= kth]
+    top = cand[np.lexsort((stats.id_rank[cand], -acc[cand]))][:k]
+    return SearchResult([stats.doc_ids[i] for i in top.tolist()], acc[top])
 
 
 # --- metrics; run: dict qid -> ranked list of (docid, score) ---

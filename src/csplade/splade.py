@@ -189,11 +189,6 @@ def adaptation_loss_batch(logits: Tensor, ids: np.ndarray, lengths: np.ndarray,
     return total, clm, relu_clm
 
 
-def reparam_relu(x):
-    """Module-level alias: forward relu, gelu-gradient backward."""
-    return ad.reparam_relu(x)
-
-
 # --- SparseRep text format: docid<TAB>term:weight term:weight ... ---
 
 def write_reps(path, reps):

@@ -280,7 +280,7 @@ def run_adaptation(model: EncoderModel, texts, vocab: Vocabulary, cfg: AdaptConf
     for step in range(cfg.steps):
         picks = rng.integers(0, len(tokenized), size=cfg.batch_size)
         batch = [tokenized[i] for i in picks]
-        ids, lengths, _ = pack_sequences(batch)
+        ids, lengths, span_mask = pack_sequences(batch)
         t0 = time.perf_counter()
         optimizer.zero_grad()
         logits = model.forward_batch(ids, lengths)
@@ -293,9 +293,12 @@ def run_adaptation(model: EncoderModel, texts, vocab: Vocabulary, cfg: AdaptConf
         total.backward()
         lr = cosine_lr(step, cfg.steps, cfg.warmup_steps, cfg.lr)
         optimizer.step(lr)
+        step_s = time.perf_counter() - t0
+        with ad.no_grad():  # the sparsity the step's logits pool to
+            reps = pool_reps(logits, span_mask)
         report.append(step, clm=float(clm.data), relu_clm=float(relu_clm.data),
-                      total=float(total.data), lr=lr,
-                      wall_clock=time.perf_counter() - t0)
+                      total=float(total.data), dead_frac=dead_dim_fraction(reps),
+                      avg_nnz_d=_nnz_mean(reps), lr=lr, wall_clock=step_s)
     return model, report
 
 

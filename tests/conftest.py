@@ -100,3 +100,59 @@ def slice_by_matmul(a, axis, start, stop):
     assert start == 0 and axis % a.ndim == a.ndim - 2
     sel = np.eye(a.shape[axis], dtype=a.data.dtype)[:stop]
     return ad.matmul(Tensor(sel), a)
+
+
+def batched_matmul(a, b):
+    """a @ b as a node whose forward and gradients are numpy batched
+    matmuls (one GEMM per batch entry) reduced by autodiff._unbroadcast:
+    the matmul that autodiff.matmul replaced for a 2-D right operand."""
+    from csplade import autodiff as ad
+    data = np.matmul(a.data, b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(ad._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            b._accumulate(ad._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+
+    return ad._make(data, (a, b), "matmul", backward)
+
+
+def embedding_add_at(weight, ids):
+    """Row lookup whose backward scatters with np.add.at: the embedding
+    backward that autodiff.embedding replaced."""
+    from csplade import autodiff as ad
+    ids = np.asarray(ids)
+    data = weight.data[ids]
+
+    def backward(g):
+        grad = np.zeros_like(weight.data) if weight.grad is None else weight.grad.copy()
+        np.add.at(grad, ids.ravel(), g.reshape(-1, weight.shape[1]))
+        weight.grad = grad
+
+    return ad._make(data, (weight,), "embedding", backward)
+
+
+def bm25_search_loop(corpus, query_text, stats, k, k1=0.9, b=0.4):
+    """Doc-at-a-time BM25: every doc of `corpus` is scored in a Python loop
+    over the query terms, then sorted by (-score, doc id): the body that
+    evalkit.bm25_search replaced. It must return the same doc ids and
+    float64 scores bit for bit. Returns (doc ids, scores)."""
+    from collections import Counter
+    from csplade.evalkit import _idf
+    q = query_text.lower().split()
+    scored = []
+    for doc_id, text in corpus.items():
+        toks = text.lower().split()
+        tf = Counter(toks)
+        norm = k1 * (1.0 - b + b * len(toks) / stats.avg_doc_len) if stats.avg_doc_len else k1
+        s = 0.0
+        for term in q:
+            f = tf.get(term, 0)
+            if f:
+                s += _idf(stats, term) * f * (k1 + 1.0) / (f + norm)
+        if s > 0:
+            scored.append((doc_id, s))
+    scored.sort(key=lambda x: (-x[1], x[0]))
+    top = scored[:k]
+    return [d for d, _ in top], np.array([s for _, s in top])

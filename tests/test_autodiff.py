@@ -328,8 +328,12 @@ def test_gelu_gradient_bit_identical_to_closed_form(dtype):
     g = np.random.default_rng(6).normal(size=(4, 6)).astype(dtype)
     leaf = Tensor(x, requires_grad=True)
     ad.sum_over_axis(ad.mul(ad.gelu(leaf), Tensor(g))).backward()
-    deriv = 0.5 * (1.0 + erf(x / np.sqrt(2.0))) \
-        + x * (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    if dtype == np.float64:
+        deriv = 0.5 * (1.0 + erf(x / np.sqrt(2.0))) \
+            + x * (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    else:  # float32 constants: no temporary is promoted to float64
+        deriv = 0.5 * (1.0 + erf(x / np.float32(np.sqrt(2.0)))) \
+            + x * np.float32(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
     expected = g * deriv.astype(dtype)
     assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == expected.tobytes()
 
@@ -396,3 +400,141 @@ class TestNoGrad:
         with pytest.raises(KeyError), ad.no_grad():
             raise KeyError("boom")
         assert ad.gelu(x).requires_grad
+
+
+# the encoder's projections: (B, L, d) @ (d, d | 4d | V) and (B, L, 4d) @ (4d, d)
+ENCODER_MATMULS = [((32, 18, 64), (64, 64)), ((32, 18, 64), (64, 256)),
+                   ((32, 18, 64), (64, 204)), ((32, 18, 256), (256, 64)),
+                   ((8, 5, 64), (64, 204)), ((1, 35, 64), (64, 256))]
+
+
+def _matmul_grads(mm, a, b, upstream):
+    la, lb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    out = mm(la, lb)
+    ad.sum_over_axis(ad.mul(out, Tensor(upstream))).backward()
+    return out.data, la.grad, lb.grad
+
+
+class TestMatmulRows:
+    """A 2-D right operand folds the leading axes of the left one into rows."""
+
+    @pytest.mark.parametrize("shape_a, shape_b", ENCODER_MATMULS)
+    def test_float32_forward_bit_equal_to_batched(self, shape_a, shape_b):
+        from conftest import batched_matmul
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=shape_a).astype(np.float32)
+        b = rng.normal(size=shape_b).astype(np.float32)
+        up = rng.normal(size=shape_a[:-1] + shape_b[-1:]).astype(np.float32)
+        rows, batched = (_matmul_grads(mm, a, b, up) for mm in (ad.matmul, batched_matmul))
+        assert rows[0].dtype == np.float32 and rows[0].flags.c_contiguous
+        assert rows[0].tobytes() == batched[0].tobytes()
+        for got, want in zip(rows[1:], batched[1:]):
+            assert got.dtype == np.float32 and got.shape == want.shape
+
+    @pytest.mark.parametrize("shape_a, shape_b", ENCODER_MATMULS)
+    def test_gradients_match_batched(self, shape_a, shape_b):
+        # float64: the tolerance then bounds the new summation order, not
+        # float32 cancellation in entries near zero
+        from conftest import batched_matmul
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        up = rng.normal(size=shape_a[:-1] + shape_b[-1:])
+        rows, batched = (_matmul_grads(mm, a, b, up) for mm in (ad.matmul, batched_matmul))
+        for got, want in zip(rows[1:], batched[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("leaf", ["a", "b"])
+    def test_gradient_matches_finite_differences(self, leaf):
+        rng = np.random.default_rng(12)
+        fixed = {"a": rng.normal(size=(3, 4, 5)), "b": rng.normal(size=(5, 6))}
+        w = Tensor(rng.normal(size=(3, 4, 6)), dtype=np.float64)
+
+        def f(x):
+            args = dict({k: Tensor(v, dtype=np.float64) for k, v in fixed.items()}, **{leaf: x})
+            return ad.sum_over_axis(ad.mul(ad.matmul(args["a"], args["b"]), w))
+
+        assert grad_check(f, Tensor(fixed[leaf], dtype=np.float64)) < 1e-6
+
+    def test_transposed_right_operand(self):
+        # the LM head: x @ transpose(tok_emb), a non-contiguous 2-D view
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.normal(size=(5, 4)), requires_grad=True, dtype=np.float64)
+        out = ad.matmul(x, ad.transpose(w))
+        np.testing.assert_allclose(out.data, np.matmul(x.data, w.data.T), rtol=1e-12)
+        ad.sum_over_axis(out).backward()
+        np.testing.assert_allclose(w.grad, np.ones((2 * 3, 5)).T @ x.data.reshape(6, 4),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(x.grad, np.broadcast_to(w.data.sum(axis=0), (2, 3, 4)),
+                                   rtol=1e-12)
+
+
+def _embedding_grads(emb, table, ids, upstream):
+    w = Tensor(table.copy(), requires_grad=True)
+    ad.sum_over_axis(ad.mul(emb(w, ids), Tensor(upstream))).backward()
+    return w.grad
+
+
+class TestEmbeddingBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fresh_table_matches_add_at(self, dtype):
+        from conftest import embedding_add_at
+        rng = np.random.default_rng(15)
+        table = rng.normal(size=(40, 64)).astype(dtype)
+        for ids in (rng.permutation(40)[:25],                      # each id once: exact
+                    rng.integers(0, 40, size=(32, 35)),            # repeats, gaps
+                    np.broadcast_to(np.arange(18), (32, 18)),      # pos_emb's ids
+                    np.array([2]), np.zeros((0, 3), dtype=np.int64)):
+            up = rng.normal(size=ids.shape + (64,)).astype(dtype)
+            ours, oracle = (_embedding_grads(emb, table, ids, up)
+                            for emb in (ad.embedding, embedding_add_at))
+            assert ours.dtype == dtype
+            if np.bincount(np.ravel(ids), minlength=1).max(initial=0) <= 1:
+                assert ours.tobytes() == oracle.tobytes()
+            else:  # np.add.reduceat does not add a group's rows in row order
+                np.testing.assert_allclose(ours, oracle, rtol=1e-5, atol=1e-5)
+
+    def test_existing_gradient_close_to_add_at(self):
+        # the tied LM head's gradient reaches tok_emb before the lookup's
+        from conftest import embedding_add_at
+        rng = np.random.default_rng(16)
+        table = rng.normal(size=(6, 4)).astype(np.float32)
+        ids = rng.integers(0, 6, size=(5, 7))
+        up = rng.normal(size=(5, 7, 4)).astype(np.float32)
+        x = rng.normal(size=(5, 7, 4)).astype(np.float32)
+        grads = []
+        for emb in (ad.embedding, embedding_add_at):
+            w = Tensor(table.copy(), requires_grad=True)
+            head = ad.matmul(Tensor(x), ad.transpose(w))
+            loss = ad.add(ad.sum_over_axis(ad.mul(emb(w, ids), Tensor(up))),
+                          ad.sum_over_axis(head))
+            loss.backward()
+            grads.append(w.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-5, atol=1e-5)
+
+    def test_no_grad_builds_no_sort(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ad.np, "argsort", lambda *a, **k: calls.append(1))
+        w = Tensor(np.ones((4, 2), dtype=np.float32), requires_grad=True)
+        with ad.no_grad():
+            ad.embedding(w, [[1, 3, 1]])
+        assert calls == []
+
+
+def test_float32_gelu_makes_no_float64_temporaries(monkeypatch):
+    from scipy.special import erf
+    seen = []
+
+    def spy(x):
+        seen.append(x.dtype)
+        return erf(x)
+
+    monkeypatch.setattr(ad, "erf", spy)
+    x = Tensor(np.random.default_rng(17).normal(size=(3, 4)).astype(np.float32),
+               requires_grad=True)
+    out = ad.gelu(x)
+    ad.sum_over_axis(ad.mul(out, Tensor(np.ones((3, 4), dtype=np.float32)))).backward()
+    assert seen == [np.float32]
+    assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
+    saved = [c.cell_contents for c in out._backward.__closure__]  # the derivative
+    assert all(v.dtype == np.float32 for v in saved if isinstance(v, np.ndarray))

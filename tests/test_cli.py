@@ -1,7 +1,9 @@
 """End-to-end CLI pipeline tests over a miniature dataset."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from csplade.cli import main
@@ -65,6 +67,11 @@ class TestSynth:
         assert manifest["seed"] == 7
         assert manifest["config"]["docs"] == 40
         assert "version" in manifest
+        assert set(manifest["env"]) == {"python", "numpy", "blas"}
+        assert manifest["env"]["numpy"] == np.__version__
+        assert manifest["inputs"] == {}  # synth reads no file
+        assert manifest["wall_s"] > 0
+        assert not any(k.startswith("_") for k in manifest["config"])
 
     def test_deterministic(self, synth_dir, tmp_path):
         assert run_cli("synth", "--seed", 7, "--docs", 40, "--queries", 8,
@@ -89,6 +96,21 @@ class TestPipeline:
         # sorted keys on disk
         text = (work / "metrics.csv.manifest.json").read_text()
         assert text.index('"config"') < text.index('"subcommand"')
+
+    def test_manifests_hash_inputs(self, pipeline):
+        work, data = pipeline
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        manifest = json.loads((work / "trained.ckpt.manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(p): sha(p) for p in (data / "corpus.tsv", work / "adapted.ckpt", work / "vocab.txt",
+                                     data / "triples.jsonl", data / "queries.tsv")}
+        assert manifest["wall_s"] > 0 and manifest["env"]["blas"]
+        manifest = json.loads((work / "metrics.csv.manifest.json").read_text())
+        assert manifest["inputs"] == {str(work / "run.txt"): sha(work / "run.txt"),
+                                      str(data / "qrels.txt"): sha(data / "qrels.txt")}
 
     def test_metrics_csv_shape(self, pipeline):
         work, _ = pipeline

@@ -70,6 +70,59 @@ class TestBM25:
         assert result.doc_ids == ["da", "db"]
 
 
+class TestBM25MatchesLoop:
+    """bm25_search scores term at a time over postings; the oracle scores
+    every doc in a Python loop. Ids and float64 scores must be equal."""
+
+    @staticmethod
+    def _check(corpus, query, k, **params):
+        from conftest import bm25_search_loop
+        stats = build_stats(corpus)
+        got = bm25_search(corpus, query, stats, k, **params)
+        want_ids, want_scores = bm25_search_loop(corpus, query, stats, k, **params)
+        assert got.doc_ids == want_ids
+        assert got.scores.dtype == np.float64
+        assert got.scores.tobytes() == want_scores.tobytes()
+
+    def test_random_collections(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(12)]
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            ids = [f"d{int(i)}" for i in rng.permutation(1000)[:n]]  # unsorted ids
+            corpus = {d: " ".join(rng.choice(words, size=int(rng.integers(0, 9))))
+                      for d in ids}
+            query = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(0, 5))))
+            self._check(corpus, query, int(rng.integers(0, n + 3)))
+
+    def test_ties_repeats_and_params(self):
+        corpus = {"b": "x y", "a": "x y", "c": "x x y", "e": "", "d": "y y y y"}
+        for query in ("x", "x x y", "y x y", "z", "X"):
+            for k in (1, 2, 3, 10):
+                self._check(corpus, query, k)
+                self._check(corpus, query, k, k1=1.2, b=0.0)
+
+    def test_empty_documents_only(self):
+        self._check({"d1": "", "d2": ""}, "a", 5)
+
+    def test_synth_queries(self, synth):
+        for text in list(synth["queries"].values())[:50]:
+            self._check(synth["corpus"], text, 10)
+
+    def test_postings_hold_tf_per_doc(self):
+        stats = build_stats({"d1": "a b a", "d2": "b", "d3": "c a"})
+        ordinals, tf = stats.postings["a"]
+        assert ordinals.tolist() == [0, 2] and tf.tolist() == [2, 1]
+        assert stats.doc_freq == {"a": 2, "b": 2, "c": 1}
+        assert stats.doc_lengths.tolist() == [3, 1, 2] and stats.avg_doc_len == 2.0
+        assert stats.doc_tf == {"d1": {"a": 2, "b": 1}, "d2": {"b": 1}, "d3": {"a": 1, "c": 1}}
+
+    def test_rejects_other_corpus(self):
+        stats = build_stats({"d1": "a", "d2": "b"})
+        with pytest.raises(ValueError, match="corpus"):
+            bm25_search({"d1": "a"}, "a", stats, 3)
+
+
 class TestMetricsHandValues:
     def test_mrr_first_rank(self):
         per, mean = mrr_at_k({"q1": [("d1", 1.0)]}, {"q1": {"d1": 1}}, 10)

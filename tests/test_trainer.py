@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csplade import trainer
+from csplade import autodiff as ad, trainer
 from csplade.corpus import SynthSpec, build_vocab, synth_generate, tokenize
 from csplade.encoder import (BIDIRECTIONAL, CAUSAL, BOS_ID, EncoderConfig,
                              EncoderModel)
@@ -182,6 +182,35 @@ class TestAdaptation:
         with pytest.raises(TrainingDivergedError, match="step 0"):
             run_adaptation(model, corpus.values(), vocab,
                            AdaptConfig(steps=2, warmup_steps=1, seq_len=16))
+
+    def test_report_measures_sparsity(self, small_data, monkeypatch):
+        corpus, *_, vocab = small_data
+        seen = []
+        original = trainer.pool_reps
+
+        def spy(logits, span_mask, *args):
+            assert not ad._grad_enabled  # measured outside the graph
+            seen.append((logits.data.copy(), span_mask.copy()))
+            return original(logits, span_mask, *args)
+
+        monkeypatch.setattr(trainer, "pool_reps", spy)
+        _, report = run_adaptation(small_model(vocab), corpus.values(), vocab,
+                                   AdaptConfig(steps=3, warmup_steps=1, seq_len=16))
+        assert len(seen) == 3
+        for (logits, span), nnz, dead in zip(seen, report.avg_nnz_d, report.dead_frac):
+            pooled = np.where(span[:, :, None], logits, -np.inf).max(axis=1)
+            counts = (np.log1p(np.maximum(pooled, 0)) > trainer.WEIGHT_FLOOR).sum(axis=1)
+            assert nnz == pytest.approx(counts.mean()) and nnz > 0
+            assert dead == pytest.approx((counts == 0).mean())
+        assert report.avg_nnz_q == [0.0] * 3
+
+    def test_dead_start_reports_all_empty(self, small_data):
+        corpus, *_, vocab = small_data
+        model = small_model(vocab)
+        model.apply_logit_offset(-50.0)
+        _, report = run_adaptation(model, corpus.values(), vocab,
+                                   AdaptConfig(steps=2, warmup_steps=1, seq_len=16))
+        assert report.dead_frac[0] == 1.0 and report.avg_nnz_d[0] == 0.0
 
     def test_empty_corpus_rejected(self, small_data):
         *_, vocab = small_data
