@@ -299,28 +299,76 @@ def relu(a):
     return _make(data, (a,), "relu", backward)
 
 
-def _one_plus_erf(x):
-    # 1 + erf(x / sqrt 2) in the dtype of x: a float64 constant would make
-    # every float32 temporary float64 (NEP 50)
-    return 1.0 + erf(x / x.dtype.type(_SQRT2))
+# Float32 GELU does not call scipy's erf, whose float32 loop is scalar code.
+# It uses Abramowitz & Stegun 7.1.26: erfc(z) = t P(t) exp(-z^2) with
+# t = 1 / (1 + p z), |error| <= 1.5e-7. At z = |x| / sqrt 2 the factor
+# exp(-z^2) = exp(-x^2 / 2) is also the Gaussian of the derivative, so one
+# exp serves both. With K = sqrt 2 / p, t = K s for s = 1 / (K + |x|), and
+# the coefficients below are a_i K^i / 2, so the polynomial in s is
+# erfc(z) / 2. The constants are 0-d float32 arrays because numpy applies
+# them to a float32 block with less overhead than scalars, and per-call
+# overhead is most of the cost on the small blocks of one-query encoding.
+_AS_P = 0.3275911
+_AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+_AS_K = np.sqrt(2.0) / _AS_P
+_F32_K = np.array(_AS_K, dtype=np.float32)
+_F32_B1, _F32_B2, _F32_B3, _F32_B4, _F32_B5 = (
+    np.array(0.5 * a * _AS_K ** i, dtype=np.float32) for i, a in enumerate(_AS_A, 1))
+_F32_HALF = np.array(0.5, dtype=np.float32)
+_F32_NEG_HALF = np.array(-0.5, dtype=np.float32)
+_F32_INV_SQRT_2PI = np.array(_INV_SQRT_2PI, dtype=np.float32)
 
 
-def _gelu_grad(x, one_plus_erf):
-    # Phi(x) + x * phi(x), exact (erf) form, in the dtype of x
-    return 0.5 * one_plus_erf + x * x.dtype.type(_INV_SQRT_2PI) * np.exp(-0.5 * x * x)
+def _gelu(x, need_grad):
+    """GELU(x) = x Phi(x) and, if need_grad, its derivative
+    Phi(x) + x phi(x) (else None), in the dtype of x. Float64, the dtype of
+    grad_check, uses scipy's erf; float32 the erfc above, in place."""
+    if x.dtype != np.float32:
+        one_plus_erf = 1.0 + erf(x / _SQRT2)
+        data = 0.5 * x * one_plus_erf
+        if not need_grad:
+            return data, None
+        return data, 0.5 * one_plus_erf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    if x.ndim == 0:  # ufuncs return scalars for 0-d input, and out= needs arrays
+        return tuple(v if v is None else v.reshape(()) for v in _gelu(x.reshape(1), need_grad))
+    s = np.abs(x)
+    s += _F32_K
+    np.reciprocal(s, out=s)
+    gauss = np.square(x)
+    gauss *= _F32_NEG_HALF
+    np.exp(gauss, out=gauss)
+    cdf = s * _F32_B5
+    cdf += _F32_B4
+    cdf *= s
+    cdf += _F32_B3
+    cdf *= s
+    cdf += _F32_B2
+    cdf *= s
+    cdf += _F32_B1
+    cdf *= s
+    cdf *= gauss  # erfc(|x| / sqrt 2) / 2
+    # Phi(x) = 1/2 + sign(x) (1/2 - erfc / 2), by copysign: np.where on the
+    # sign costs about as much as all the arithmetic here
+    np.subtract(_F32_HALF, cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
+    cdf += _F32_HALF
+    data = np.multiply(x, cdf, out=s)
+    if not need_grad:
+        return data, None
+    gauss *= x
+    gauss *= _F32_INV_SQRT_2PI
+    cdf += gauss
+    return data, cdf
 
 
 def gelu(a):
-    """Exact (erf) GELU, evaluated in the input's dtype. erf is evaluated
-    once; the forward of a node that records a graph also finishes the
-    derivative its backward needs."""
+    """Exact (erf-form) GELU, evaluated in the input's dtype. The forward of
+    a node that records a graph also finishes the derivative its backward
+    needs."""
     a = _as_tensor(a)
-    x = a.data
-    one_plus_erf = _one_plus_erf(x)
-    data = 0.5 * x * one_plus_erf
-    if not _needs_grad(a):
+    data, deriv = _gelu(a.data, _needs_grad(a))
+    if deriv is None:
         return Tensor(data)
-    deriv = _gelu_grad(x, one_plus_erf)
 
     def backward(g):
         a._accumulate(g * deriv)
@@ -340,8 +388,7 @@ def reparam_relu(a):
         return Tensor(data)
 
     def backward(g):
-        x = a.data
-        a._accumulate(g * _gelu_grad(x, _one_plus_erf(x)))
+        a._accumulate(g * _gelu(a.data, True)[1])
 
     return _make(data, (a,), "reparam_relu", backward)
 

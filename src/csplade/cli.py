@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +367,8 @@ def main(argv=None):
         args._inputs = input_hashes(args)
         return args.func(args)
     except Exception as exc:  # data/contract errors -> exit 1, one line
+        if os.environ.get("CSPLADE_DEBUG") == "1":  # plus the traceback
+            traceback.print_exc(file=sys.stderr)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

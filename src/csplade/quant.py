@@ -120,13 +120,16 @@ class LatencyReport:
     p50_ms: float
     p95_ms: float
     mem_bytes: int
+    # the arithmetic the timed forward runs: quantized weights are
+    # dequantized first, so every config computes in float32
+    compute: str = "fp32"
 
     def csv_row(self):
-        return (f"{self.config},{self.bits},{self.granularity},"
+        return (f"{self.config},{self.bits},{self.granularity},{self.compute},"
                 f"{self.qps:.2f},{self.p50_ms:.3f},{self.p95_ms:.3f},{self.mem_bytes}")
 
 
-CSV_HEADER = "config,bits,granularity,qps,p50_ms,p95_ms,mem_bytes"
+CSV_HEADER = "config,bits,granularity,compute,qps,p50_ms,p95_ms,mem_bytes"
 
 
 def bench_encode(model, queries, batch_size=1, warmup_iters=5, measure_iters=30,

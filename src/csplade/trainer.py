@@ -177,12 +177,25 @@ class AdamW:
                 continue
             m = self.m[k]
             v = self.v[k]
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p), evaluated
+            # in float32 in two scratch arrays
+            tmp = np.multiply(g, 1 - b1)
             m *= b1
-            m += (1 - b1) * g
+            m += tmp
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g
             v *= b2
-            v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= np.float32(lr) * (update + self.weight_decay * p.data).astype(np.float32)
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = np.divide(m, bc1)
+            update /= tmp
+            np.multiply(p.data, self.weight_decay, out=tmp)
+            update += tmp
+            update *= np.float32(lr)
+            p.data -= update
 
     def zero_grad(self):
         for p in self.params.values():
@@ -245,7 +258,7 @@ def encode_texts(model, vocab, texts, echo_mode=False):
     return reps
 
 
-def dead_dim_fraction(reps, sample_size=None) -> float:
+def empty_rep_fraction(reps, sample_size=None) -> float:
     """Fraction of representations with an empty support."""
     if isinstance(reps, Tensor):
         dense = reps.data
@@ -253,11 +266,26 @@ def dead_dim_fraction(reps, sample_size=None) -> float:
         pool = empty
     else:
         if not reps:
-            raise ValueError("dead_dim_fraction: empty batch")
+            raise ValueError("empty_rep_fraction: empty batch")
         pool = np.array([rep.nnz == 0 for rep in reps])
     if sample_size is not None:
         pool = pool[:sample_size]
     return float(pool.mean())
+
+
+def dead_dim_fraction(reps) -> float:
+    """Fraction of vocabulary dimensions with no weight above WEIGHT_FLOOR
+    in any representation of the batch: the dimensions a dying ReLU has
+    switched off."""
+    if isinstance(reps, Tensor):
+        live = (reps.data > WEIGHT_FLOOR).any(axis=0)
+    else:
+        if not reps:
+            raise ValueError("dead_dim_fraction: empty batch")
+        live = np.zeros(reps[0].vocab_size, dtype=bool)
+        for rep in reps:
+            live[rep.term_ids[rep.weights > WEIGHT_FLOOR]] = True
+    return float(1.0 - live.mean())
 
 
 def _nnz_mean(reps: Tensor) -> float:
@@ -297,7 +325,7 @@ def run_adaptation(model: EncoderModel, texts, vocab: Vocabulary, cfg: AdaptConf
         with ad.no_grad():  # the sparsity the step's logits pool to
             reps = pool_reps(logits, span_mask)
         report.append(step, clm=float(clm.data), relu_clm=float(relu_clm.data),
-                      total=float(total.data), dead_frac=dead_dim_fraction(reps),
+                      total=float(total.data), dead_frac=empty_rep_fraction(reps),
                       avg_nnz_d=_nnz_mean(reps), lr=lr, wall_clock=step_s)
     return model, report
 
@@ -362,12 +390,12 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
             if not np.isfinite(total.data):
                 raise TrainingDivergedError(
                     f"contrastive step {step}: non-finite loss {breakdown}")
-            dead_q = dead_dim_fraction(q_reps)
-            dead_d = dead_dim_fraction(d_reps)
+            dead_q = empty_rep_fraction(q_reps)
+            dead_d = empty_rep_fraction(d_reps)
             dead = (dead_q * len(q_seqs) + dead_d * len(d_seqs)) / (len(q_seqs) + len(d_seqs))
             if dead_q == 1.0 and dead_d == 1.0:
                 warnings.warn(
-                    f"step {step}: all representations empty (dead_dim_fraction=1.0); "
+                    f"step {step}: all representations empty (empty_rep_fraction=1.0); "
                     "training is stalled by dead ReLU units", RuntimeWarning)
             total.backward()
             clip_grad_norm(model.params, GRAD_CLIP_NORM)

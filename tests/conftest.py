@@ -156,3 +156,44 @@ def bm25_search_loop(corpus, query_text, stats, k, k1=0.9, b=0.4):
     scored.sort(key=lambda x: (-x[1], x[0]))
     top = scored[:k]
     return [d for d, _ in top], np.array([s for _, s in top])
+
+
+def gelu_float32_closed_form(x):
+    """Float32 GELU and its derivative written as plain expressions in the
+    order autodiff evaluates them: Abramowitz & Stegun 7.1.26 gives
+    erfc(|x| / sqrt 2) = t P(t) exp(-x^2 / 2) with t = 1 / (1 + p |x| / sqrt 2),
+    rewritten in s = 1 / (K + |x|), K = sqrt 2 / p, with coefficients
+    a_i K^i / 2. Phi = 1/2 + sign(x) (1/2 - erfc / 2); GELU = x Phi and the
+    derivative is Phi + x phi(x). Returns (gelu, derivative)."""
+    f32 = np.float32
+    p = 0.3275911
+    a = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+    k = np.sqrt(2.0) / p
+    b1, b2, b3, b4, b5 = (f32(0.5 * ai * k ** i) for i, ai in enumerate(a, 1))
+    x = np.asarray(x, dtype=f32)
+    s = f32(1.0) / (np.abs(x) + f32(k))
+    gauss = np.exp(x * x * f32(-0.5))
+    half_erfc = s * (b1 + s * (b2 + s * (b3 + s * (b4 + s * b5)))) * gauss
+    phi = f32(0.5) + np.copysign(f32(0.5) - half_erfc, x)
+    return x * phi, phi + gauss * x * f32(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def adamw_step_reference(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                         weight_decay=0.01):
+    """One AdamW step written as plain expressions (the formula that
+    trainer.AdamW.step evaluates in place). `state` holds "t" and per-param
+    "m" and "v" arrays; params without a grad are skipped."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for k, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        m, v = state["m"][k], state["v"][k]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p.data -= np.float32(lr) * (update + weight_decay * p.data).astype(np.float32)

@@ -24,7 +24,7 @@ from csplade.quant import (GROUPWISE, PER_CHANNEL, QuantConfig, bench_encode,
 from csplade.splade import (adaptation_loss, flops_reg_t, pool_reps,
                             rank_loss_t, splade_pool)
 from csplade.trainer import (AdaptConfig, ContrastiveConfig,
-                             dead_dim_fraction, encode_reps_tensor,
+                             empty_rep_fraction, encode_reps_tensor,
                              encode_texts, run_adaptation, run_contrastive)
 
 SEED = 0
@@ -171,7 +171,7 @@ def test_ac3_dying_relu_reproduction_and_cure(capsys, synth):
     seqs = [tokenize(t, vocab, max_len=32) for t in synth["texts"][:16]]
     reps = encode_reps_tensor(model, seqs[:8])
     d_reps = encode_reps_tensor(model, seqs[8:])
-    dead = dead_dim_fraction(reps)
+    dead = empty_rep_fraction(reps)
     loss = ad.add(rank_loss_t(reps, d_reps, np.arange(8)),
                   ad.add(ad.scale(flops_reg_t(reps), 0.003),
                          ad.scale(flops_reg_t(d_reps), 0.003)))
@@ -188,7 +188,7 @@ def test_ac3_dying_relu_reproduction_and_cure(capsys, synth):
                               AdaptConfig(steps=500, batch_size=16, seq_len=32,
                                           lr=1e-2, warmup_steps=20, seed=SEED))
     doc_reps = encode_texts(model, vocab, list(synth["corpus"].values())[:200])
-    dead_after = dead_dim_fraction(doc_reps)
+    dead_after = empty_rep_fraction(doc_reps)
     _, train_report = run_contrastive(
         model, synth["triples"], synth["corpus"], synth["queries"], vocab,
         ContrastiveConfig(epochs=8, lr=3e-3, lambda_q=0.003, lambda_d=0.003,

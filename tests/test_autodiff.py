@@ -324,6 +324,7 @@ def test_slice_axis_rejects_bad_axis():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_gradient_bit_identical_to_closed_form(dtype):
     from scipy.special import erf
+    from conftest import gelu_float32_closed_form
     x = np.random.default_rng(5).normal(size=(4, 6)).astype(dtype)
     g = np.random.default_rng(6).normal(size=(4, 6)).astype(dtype)
     leaf = Tensor(x, requires_grad=True)
@@ -331,9 +332,8 @@ def test_gelu_gradient_bit_identical_to_closed_form(dtype):
     if dtype == np.float64:
         deriv = 0.5 * (1.0 + erf(x / np.sqrt(2.0))) \
             + x * (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
-    else:  # float32 constants: no temporary is promoted to float64
-        deriv = 0.5 * (1.0 + erf(x / np.float32(np.sqrt(2.0)))) \
-            + x * np.float32(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    else:  # the vectorized erfc, every temporary float32
+        deriv = gelu_float32_closed_form(x)[1]
     expected = g * deriv.astype(dtype)
     assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == expected.tobytes()
 
@@ -534,7 +534,73 @@ def test_float32_gelu_makes_no_float64_temporaries(monkeypatch):
                requires_grad=True)
     out = ad.gelu(x)
     ad.sum_over_axis(ad.mul(out, Tensor(np.ones((3, 4), dtype=np.float32)))).backward()
-    assert seen == [np.float32]
+    assert seen == []  # float32 never reaches scipy's scalar erf loop
     assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
     saved = [c.cell_contents for c in out._backward.__closure__]  # the derivative
     assert all(v.dtype == np.float32 for v in saved if isinstance(v, np.ndarray))
+
+
+class TestFloat32Gelu:
+    """Float32 GELU against a float64 scipy reference."""
+
+    @staticmethod
+    def points():
+        tiny = np.finfo(np.float32).tiny
+        special = [0.0, -0.0, tiny, -tiny, tiny / 2, -tiny / 2, 1e-45, -1e-45,
+                   -10.0, -10.5, -11.0, -20.0, -1e4, 1e4]
+        return np.concatenate([np.linspace(-12, 12, 48_001),
+                               np.random.default_rng(23).normal(0, 1.5, 20_000),
+                               special]).astype(np.float32)
+
+    @staticmethod
+    def reference(x):
+        from scipy.special import erf
+        x = x.astype(np.float64)
+        one_plus_erf = 1.0 + erf(x / np.sqrt(2.0))
+        return (0.5 * x * one_plus_erf,
+                0.5 * one_plus_erf + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+
+    def gelu_and_grad(self, x):
+        leaf = Tensor(x, requires_grad=True)
+        out = ad.gelu(leaf)
+        ad.sum_over_axis(out).backward()
+        return out.data, leaf.grad
+
+    def test_accuracy(self):
+        x = self.points()
+        out, grad = self.gelu_and_grad(x)
+        ref_out, ref_grad = self.reference(x)
+        assert out.dtype == np.float32 and grad.dtype == np.float32
+        bound = 4 * np.spacing(np.maximum(np.abs(x), np.float32(1)))
+        assert np.all(np.abs(out - ref_out) <= bound)
+        assert np.max(np.abs(grad - ref_grad)) <= 5e-7
+
+    def test_finite_and_zero_far_left(self):
+        x = self.points()
+        out, grad = self.gelu_and_grad(x)
+        assert np.isfinite(out).all() and np.isfinite(grad).all()
+        assert np.all(out[(x <= -10) | (x == 0)] == 0)
+        huge = np.array([-np.finfo(np.float32).max, np.finfo(np.float32).max], dtype=np.float32)
+        with np.errstate(over="ignore"):  # x * x overflows to inf; exp(-inf) is 0
+            out, grad = self.gelu_and_grad(huge)
+        assert out.tolist() == [0.0, huge[1]] and grad.tolist() == [0.0, 1.0]
+
+    def test_no_grad_forward_matches_recorded_forward(self):
+        x = self.points()
+        with ad.no_grad():
+            plain = ad.gelu(Tensor(x)).data
+        assert plain.tobytes() == self.gelu_and_grad(x)[0].tobytes()
+
+    def test_zero_dim_input(self):
+        x = np.float32(0.7)
+        out, grad = self.gelu_and_grad(np.array(x))
+        ref_out, ref_grad = self.reference(np.array([x]))
+        assert out.shape == () and grad.shape == ()
+        assert abs(float(out) - ref_out[0]) <= 4 * np.spacing(np.float32(1))
+        assert abs(float(grad) - ref_grad[0]) <= 5e-7
+
+    def test_reparam_relu_backward_is_gelu_derivative(self):
+        x = self.points()
+        leaf = Tensor(x, requires_grad=True)
+        ad.sum_over_axis(ad.reparam_relu(leaf)).backward()
+        assert leaf.grad.tobytes() == self.gelu_and_grad(x)[1].tobytes()

@@ -142,8 +142,10 @@ class TestPipeline:
                        "--iters", 30, "--warmup", 1,
                        "--group-size", 16, "--out", out) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "config,bits,granularity,qps,p50_ms,p95_ms,mem_bytes"
+        assert lines[0] == "config,bits,granularity,compute,qps,p50_ms,p95_ms,mem_bytes"
         assert [l.split(",")[0] for l in lines[1:]] == ["fp32", "int8", "int4"]
+        # int8 and int4 time the dequantized float32 model
+        assert [l.split(",")[3] for l in lines[1:]] == ["fp32", "fp32", "fp32"]
 
 
 class TestVariantFromCheckpoint:
@@ -194,12 +196,28 @@ class TestErrors:
             run_cli("synth", "--bogus-flag", 1, "--out", "x")
         assert exc.value.code == 2
 
-    def test_missing_file_exits_one(self, tmp_path, capsys):
+    def test_missing_file_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)  # one line, no traceback
         assert run_cli("eval", "--run", tmp_path / "nope.txt",
                        "--qrels", tmp_path / "nope.txt",
                        "--out", tmp_path / "m.csv") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("debug", ["0", "1"])
+    def test_traceback_only_under_debug(self, tmp_path, capsys, monkeypatch, debug):
+        monkeypatch.setenv("CSPLADE_DEBUG", debug)
+        assert run_cli("eval", "--run", tmp_path / "nope.txt",
+                       "--qrels", tmp_path / "nope.txt",
+                       "--out", tmp_path / "m.csv") == 1
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert last.startswith("error: FileNotFoundError:") and "nope.txt" in last
+        if debug == "1":
+            assert err.startswith("Traceback (most recent call last):")
+            assert "cmd_eval" in err and err.count("\n") > 3
+        else:
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bm25_requires_corpus(self, pipeline, tmp_path, capsys):
         _, data = pipeline

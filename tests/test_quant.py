@@ -158,3 +158,10 @@ class TestBenchEncode:
     def test_csv_row_matches_header(self):
         r = LatencyReport("fp32", 32, "none", 10.0, 1.0, 2.0, 1024)
         assert len(r.csv_row().split(",")) == len(CSV_HEADER.split(","))
+        row = dict(zip(CSV_HEADER.split(","), r.csv_row().split(",")))
+        assert row["compute"] == "fp32" and row["bits"] == "32" and row["mem_bytes"] == "1024"
+
+    def test_quantized_models_compute_in_fp32(self):
+        model, seq = model_and_seq()
+        qm = quantize_weights(model, QuantConfig(bits=4, granularity=GROUPWISE, group_size=8))
+        assert bench_encode(qm, [seq], warmup_iters=1, measure_iters=30).compute == "fp32"

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from csplade import autodiff as ad, trainer
+from csplade.autodiff import Tensor
 from csplade.corpus import SynthSpec, build_vocab, synth_generate, tokenize
 from csplade.encoder import (BIDIRECTIONAL, CAUSAL, BOS_ID, EncoderConfig,
                              EncoderModel)
 from csplade.splade import SparseRep
 from csplade.trainer import (VARIANTS, AdamW, AdaptConfig, ContrastiveConfig,
                              TrainingDivergedError, TrainReport, cosine_lr,
-                             dead_dim_fraction, pack_sequences,
-                             prepare_sequence, run_adaptation, run_contrastive)
+                             dead_dim_fraction, empty_rep_fraction,
+                             pack_sequences, prepare_sequence,
+                             run_adaptation, run_contrastive)
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +75,53 @@ class TestHelpers:
         assert seq.length <= 16
         assert seq.ids[0] == BOS_ID
 
-    def test_dead_dim_fraction(self):
+    def test_empty_rep_fraction(self):
         empty = SparseRep([], [], 10)
         full = SparseRep([1], [1.0], 10)
-        assert dead_dim_fraction([empty] * 3) == 1.0
-        assert dead_dim_fraction([full] * 3) == 0.0
-        assert dead_dim_fraction([empty] * 3 + [full] * 7) == pytest.approx(0.3)
-        assert dead_dim_fraction([empty, full, full, full], sample_size=2) == 0.5
+        assert empty_rep_fraction([empty] * 3) == 1.0
+        assert empty_rep_fraction([full] * 3) == 0.0
+        assert empty_rep_fraction([empty] * 3 + [full] * 7) == pytest.approx(0.3)
+        assert empty_rep_fraction([empty, full, full, full], sample_size=2) == 0.5
         with pytest.raises(ValueError):
+            empty_rep_fraction([])
+
+
+class TestDeadDimFraction:
+    """Share of vocabulary dimensions that no rep of the batch uses."""
+
+    def test_all_dead(self):
+        assert dead_dim_fraction(Tensor(np.zeros((3, 8), dtype=np.float32))) == 1.0
+        assert dead_dim_fraction([SparseRep([], [], 8)] * 3) == 1.0
+
+    def test_none_dead(self):
+        dense = np.eye(4, dtype=np.float32)
+        assert dead_dim_fraction(Tensor(dense)) == 0.0
+        reps = [SparseRep([i], [1.0], 4) for i in range(4)]
+        assert dead_dim_fraction(reps) == 0.0
+
+    def test_one_live_column(self):
+        dense = np.zeros((5, 10), dtype=np.float32)
+        dense[2, 7] = 0.3
+        assert dead_dim_fraction(Tensor(dense)) == pytest.approx(0.9)
+        reps = [SparseRep([], [], 10)] * 4 + [SparseRep([7], [0.3], 10)]
+        assert dead_dim_fraction(reps) == pytest.approx(0.9)
+
+    def test_weights_at_the_floor_are_dead(self):
+        dense = np.full((2, 4), trainer.WEIGHT_FLOOR, dtype=np.float64)
+        dense[0, 1] = 2 * trainer.WEIGHT_FLOOR
+        assert dead_dim_fraction(Tensor(dense)) == pytest.approx(0.75)
+        rep = SparseRep([0, 1], [trainer.WEIGHT_FLOOR / 2, 1.0], 4)
+        assert dead_dim_fraction([rep]) == pytest.approx(0.75)
+
+    def test_tensor_and_sparse_reps_agree(self):
+        rng = np.random.default_rng(4)
+        dense = np.maximum(rng.normal(size=(6, 30)), 0).astype(np.float32)
+        dense[:, rng.choice(30, 12, replace=False)] = 0.0
+        reps = [SparseRep(np.flatnonzero(row), row[row > 0], 30) for row in dense]
+        assert dead_dim_fraction(Tensor(dense)) == dead_dim_fraction(reps) >= 0.4
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="dead_dim_fraction"):
             dead_dim_fraction([])
 
 
@@ -271,7 +312,7 @@ class TestContrastive:
         model = small_model(vocab)
         model.apply_logit_offset(-50.0)  # guarantees empty representations
         cfg = ContrastiveConfig(epochs=1, mask_mode=BIDIRECTIONAL, seed=0)
-        with pytest.warns(RuntimeWarning, match="dead_dim_fraction"):
+        with pytest.warns(RuntimeWarning, match="empty_rep_fraction"):
             run_contrastive(model, triples, corpus, queries, vocab, cfg)
 
     def test_gradients_clipped_to_global_norm(self, small_data, monkeypatch):
@@ -380,3 +421,30 @@ class TestAdamW:
         opt = AdamW({"p": p})
         opt.step(0.1)
         assert p.data[0] == 1.0
+
+    def test_bit_identical_to_reference_formula(self):
+        from conftest import adamw_step_reference
+        rng = np.random.default_rng(12)
+        shapes = {"w": (6, 5), "b": (5,), "frozen": (3, 4)}
+
+        def params():
+            return {k: Tensor(np.random.default_rng(1).normal(size=s).astype(np.float32),
+                              requires_grad=True) for k, s in shapes.items()}
+
+        mine, ref = params(), params()
+        opt = AdamW(mine, weight_decay=0.05)
+        state = {"t": 0, "m": {k: np.zeros(s, np.float32) for k, s in shapes.items()},
+                 "v": {k: np.zeros(s, np.float32) for k, s in shapes.items()}}
+        frozen = ref["frozen"].data.copy()
+        for step, lr in enumerate((3e-3, 1e-2, 7e-4, 2e-3, 5e-3)):
+            for k in ("w", "b"):
+                g = (rng.normal(size=shapes[k]) * 10.0 ** (step - 2)).astype(np.float32)
+                mine[k].grad, ref[k].grad = g, g.copy()
+            opt.step(lr)
+            adamw_step_reference(ref, state, lr, weight_decay=0.05)
+            for k in shapes:
+                assert mine[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
+                assert opt.m[k].tobytes() == state["m"][k].tobytes(), (step, k)
+                assert opt.v[k].tobytes() == state["v"][k].tobytes(), (step, k)
+        assert mine["frozen"].data.tobytes() == frozen.tobytes()
+        assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
