@@ -50,6 +50,8 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 ATTN_NEG = -1e9  # exp(-1e9 - max) underflows to exactly 0.0, so masked
                  # positions contribute bit-exact zeros to attention sums
 
+LN_EPS = 1e-5  # layer_norm's default epsilon
+
 _grad_enabled = True
 
 
@@ -484,6 +486,14 @@ def mean_over_axis(a, axis=None):
     return scale(sum_over_axis(a, axis), 1.0 / n)
 
 
+def _embedding(table, ids):
+    """Rows of a plain array `table` at integer `ids`; ids outside the table
+    raise ShapeError, so negative ids never wrap around."""
+    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
+        raise ShapeError(f"embedding: ids out of range for table of {table.shape[0]} rows")
+    return table[ids]
+
+
 def embedding(weight, ids):
     """Row lookup: ids of any integer shape -> ids.shape + (d,).
 
@@ -493,9 +503,7 @@ def embedding(weight, ids):
     """
     weight = _as_tensor(weight)
     ids = np.asarray(ids)
-    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
-        raise ShapeError(f"embedding: ids out of range for table of {weight.shape[0]} rows")
-    data = weight.data[ids]
+    data = _embedding(weight.data, ids)
     if not _needs_grad(weight):
         return Tensor(data)
     flat = ids.ravel()
@@ -550,20 +558,47 @@ def slice_axis(a, axis, start, stop):
     return _make(data, (a,), "slice_axis", backward)
 
 
-def layer_norm(a, gain, bias, eps=1e-5):
+def _layer_norm(x, gain, bias, eps, need_grad):
+    """Layer norm of a plain array over its last axis, then scale and shift.
+
+    Returns the output and, if need_grad, the (xhat, invstd) that the
+    backward needs (else None). Each mean is np.add.reduce divided by d in
+    the dtype of x. For float32 np.mean divides in float64 and rounds the
+    quotient to float32, which gives the same correctly rounded float32
+    quotient, but it costs a Python wrapper per call. Without need_grad the
+    normalization runs in place in one scratch array.
+    """
+    d = x.dtype.type(x.shape[-1])
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
+    xmu = x - mu
+    var = np.add.reduce(np.square(xmu), axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    invstd = np.sqrt(var, out=var)
+    np.divide(1.0, invstd, out=invstd)
+    if need_grad:
+        xhat = xmu * invstd
+        return xhat * gain + bias, (xhat, invstd)
+    xhat = np.multiply(xmu, invstd, out=xmu)
+    if gain.dtype != xhat.dtype or bias.dtype != xhat.dtype:  # promotes: no in place
+        return xhat * gain + bias, None
+    xhat *= gain
+    xhat += bias
+    return xhat, None
+
+
+def layer_norm(a, gain, bias, eps=LN_EPS):
     """Normalize over the last axis, then scale and shift."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last dim {d}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xmu = a.data - mu
-    var = (xmu * xmu).mean(axis=-1, keepdims=True)
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = xmu * invstd
-    data = xhat * gain.data + bias.data
-    if not _needs_grad(a, gain, bias):
+    need_grad = _needs_grad(a, gain, bias)
+    data, saved = _layer_norm(a.data, gain.data, bias.data, eps, need_grad)
+    if not need_grad:
         return Tensor(data)
+    xhat, invstd = saved
 
     def backward(g):
         if gain.requires_grad:
@@ -594,6 +629,35 @@ def softmax(a, axis=-1):
     return _make(p, (a,), "softmax", backward)
 
 
+def _attention(q, k, v, banned, heads):
+    """Multi-head attention on plain (B, L, d) arrays.
+
+    `banned` is a bool mask broadcastable to (B, heads, L, L), or None when
+    no query is barred from any key. Returns the (B, L, d) context and the
+    (q4, kt, v4, p, c) that the backward of `attention` needs. The scores are
+    scaled, masked with ATTN_NEG, shifted, exponentiated and normalized in
+    place in one array, which ends as the softmax p.
+    """
+    b, l, d = q.shape
+    dh = d // heads
+
+    def split(t):  # (B, L, d) -> (B, H, L, dh) view
+        return t.reshape(b, l, heads, dh).transpose(0, 2, 1, 3)
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    kt = k4.transpose(0, 1, 3, 2)
+    c = float(1.0 / np.sqrt(dh))  # a Python float keeps float32 scores float32
+    p = np.matmul(q4, kt)
+    p *= c
+    if banned is not None:
+        np.copyto(p, p.dtype.type(ATTN_NEG), where=banned)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = np.matmul(p, v4).transpose(0, 2, 1, 3).reshape(b, l, d)
+    return data, (q4, kt, v4, p, c)
+
+
 def attention(q, k, v, banned, heads):
     """Multi-head scaled dot-product attention as a single graph node.
 
@@ -601,11 +665,12 @@ def attention(q, k, v, banned, heads):
     banned: bool mask broadcastable to (B, heads, L, L), True where a query
     position may not attend to a key position. Returns the (B, L, d) context.
 
-    The forward runs the numpy calls of the primitive chain reshape,
-    transpose, matmul, scale, masked_fill (ATTN_NEG), softmax, matmul,
-    transpose, reshape on the same arrays, and the backward replays that
-    chain's backward with every intermediate gradient laid out as the chain
-    stores it, so values and gradients are bit-identical to the chain.
+    The forward (`_attention`) computes the values of the primitive chain
+    reshape, transpose, matmul, scale, masked_fill (ATTN_NEG), softmax,
+    matmul, transpose, reshape with the same numpy arithmetic, and the
+    backward replays that chain's backward with every intermediate gradient
+    laid out as the chain stores it, so values and gradients are
+    bit-identical to the chain.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
@@ -615,20 +680,8 @@ def attention(q, k, v, banned, heads):
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: d={d} not divisible by heads={heads}")
     dh = d // heads
-    c = float(1.0 / np.sqrt(dh))  # a Python float keeps float32 scores float32
-
-    def split(t):  # (B, L, d) -> (B, H, L, dh) view
-        return t.data.reshape(b, l, heads, dh).transpose(0, 2, 1, 3)
-
-    q4, k4, v4 = split(q), split(k), split(v)
-    kt = k4.transpose(0, 1, 3, 2)
-    scores = np.matmul(q4, kt) * c
-    mask = np.broadcast_to(np.asarray(banned, dtype=bool), scores.shape)
-    scores = np.where(mask, np.asarray(ATTN_NEG, dtype=scores.dtype), scores)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-    data = np.matmul(p, v4).transpose(0, 2, 1, 3).reshape(b, l, d)
+    mask = np.broadcast_to(np.asarray(banned, dtype=bool), (b, heads, l, l))
+    data, (q4, kt, v4, p, c) = _attention(q.data, k.data, v.data, mask, heads)
     if not _needs_grad(q, k, v):
         return Tensor(data)
 

@@ -168,7 +168,13 @@ class EncoderModel:
         self.params["logit_bias"].data += np.float32(offset)
 
     def forward_batch(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-        """Batched forward: ids (B, L) padded with PAD -> logits (B, L, V)."""
+        """Batched forward: ids (B, L) padded with PAD -> logits (B, L, V).
+
+        When no graph is being recorded (inside `no_grad()`, or when no
+        parameter requires grad) the logits are computed on plain arrays
+        and returned as an untracked Tensor, bit-identical to the `.data`
+        of the graph path.
+        """
         cfg = self.cfg
         ids = np.asarray(ids, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -176,6 +182,8 @@ class EncoderModel:
         if l > cfg.max_seq_len:
             raise SequenceTooLongError(f"sequence length {l} exceeds max_seq_len {cfg.max_seq_len}")
         pm = self.params
+        if not ad._needs_grad(*pm.values()):
+            return Tensor(self._forward_arrays(ids, lengths))
 
         valid = np.arange(l)[None, :] < lengths[:, None]          # (B, L)
         allowed = valid[:, None, None, :]                          # keys must be valid
@@ -203,6 +211,47 @@ class EncoderModel:
         x = ad.layer_norm(x, pm["lnf_g"], pm["lnf_b"])
         logits = ad.add(ad.matmul(x, ad.transpose(pm["tok_emb"])), pm["logit_bias"])
         return logits
+
+    def _forward_arrays(self, ids, lengths):
+        """The forward of `forward_batch` on plain arrays: each op's numpy
+        arithmetic, with the B x L positions folded into rows so that every
+        projection is one GEMM, and residual and bias adds made in place.
+        The attention mask is built only when some key is banned."""
+        cfg = self.cfg
+        pm = {name: p.data for name, p in self.params.items()}
+        b, l = ids.shape
+        d = cfg.d_model
+        pos = np.arange(l)
+        banned = None
+        if cfg.mask_mode == CAUSAL:
+            banned = pos[None, :] > pos[:, None]                   # keys after the query
+        if (lengths < l).any():
+            pad = (pos >= lengths[:, None])[:, None, None, :]      # (B, 1, 1, L)
+            banned = pad if banned is None else pad | banned
+
+        def affine(h, w, bias):  # h @ w + bias on (rows, .) arrays
+            out = h @ pm[w]
+            out += pm[bias]
+            return out
+
+        x = ad._embedding(pm["tok_emb"], ids)
+        x += pm["pos_emb"][:l]
+        x = x.reshape(b * l, d)
+        for i in range(cfg.n_layers):
+            pre = f"layer{i}."
+            hn, _ = ad._layer_norm(x, pm[pre + "ln1_g"], pm[pre + "ln1_b"], ad.LN_EPS, False)
+            q, k, v = (affine(hn, pre + "w" + c, pre + "b" + c).reshape(b, l, d) for c in "qkv")
+            ctx, _ = ad._attention(q, k, v, banned, cfg.n_heads)
+            x += affine(ctx.reshape(b * l, d), pre + "wo", pre + "bo")
+
+            hn, _ = ad._layer_norm(x, pm[pre + "ln2_g"], pm[pre + "ln2_b"], ad.LN_EPS, False)
+            mid, _ = ad._gelu(affine(hn, pre + "w1", pre + "b1"), False)
+            x += affine(mid, pre + "w2", pre + "b2")
+
+        x, _ = ad._layer_norm(x, pm["lnf_g"], pm["lnf_b"], ad.LN_EPS, False)
+        logits = x @ pm["tok_emb"].T
+        logits += pm["logit_bias"]
+        return logits.reshape(b, l, cfg.vocab_size)
 
     def forward_logits(self, seq: TokenSequence) -> np.ndarray:
         """Single-sequence inference path; returns a (V, L) float array."""

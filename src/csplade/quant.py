@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import no_grad
-from .encoder import EncoderConfig, EncoderModel, TokenSequence
+from .encoder import EncoderConfig, EncoderModel
 
 PER_TENSOR = "per-tensor"
 PER_CHANNEL = "per-channel"
@@ -104,11 +104,6 @@ def quantize_weights(model: EncoderModel, cfg: QuantConfig) -> QuantizedModel:
         else:
             fp_params[name] = p.data.astype(np.float32).copy()
     return QuantizedModel(model.cfg, cfg, blocks, fp_params)
-
-
-def forward_quantized(qmodel: QuantizedModel, seq: TokenSequence) -> np.ndarray:
-    """Same contract as EncoderModel.forward_logits, on dequantized weights."""
-    return qmodel.dequantized_model().forward_logits(seq)
 
 
 @dataclass

@@ -22,9 +22,13 @@ REPARAM_RELU = "reparam_relu"
 WEIGHT_FLOOR = 1e-6  # pooled entries at or below this are dropped as float noise
 
 
+class RepsFormatError(ValueError):
+    """A reps file line that does not describe a valid SparseRep."""
+
+
 @dataclass
 class SparseRep:
-    """Sorted (term_id, weight > 0) pairs over a fixed vocabulary."""
+    """Sorted (term_id, finite weight > 0) pairs over a fixed vocabulary."""
 
     term_ids: np.ndarray
     weights: np.ndarray
@@ -35,12 +39,15 @@ class SparseRep:
         self.weights = np.asarray(self.weights, dtype=np.float32)
         if self.term_ids.shape != self.weights.shape:
             raise ValueError("term_ids and weights must have equal length")
-        if len(self.term_ids):
-            if not np.all(np.diff(self.term_ids) > 0):
+        ids, w = self.term_ids, self.weights
+        if len(ids):
+            if not (ids[1:] > ids[:-1]).all():
                 raise ValueError("term_ids must be strictly increasing")
-            if self.term_ids[-1] >= self.vocab_size or self.term_ids[0] < 0:
+            if ids[-1] >= self.vocab_size or ids[0] < 0:
                 raise ValueError("term_id out of vocabulary range")
-            if not np.all(self.weights > 0):
+            if not np.isfinite(w).all():
+                raise ValueError("weights must be finite")
+            if not (w > 0).all():
                 raise ValueError("weights must be strictly positive")
 
     def __len__(self):
@@ -86,12 +93,8 @@ def pool_reps(logits: Tensor, span_mask: np.ndarray, mode=PLAIN_RELU) -> Tensor:
     return log_saturate(ad.max_over_axis(masked, axis=1), mode)
 
 
-def splade_pool(logits: np.ndarray, content_span, mode=PLAIN_RELU) -> SparseRep:
-    """Pool a (V, L) logit matrix over span columns into a SparseRep.
-
-    The activation mode does not affect forward values, so the result is
-    identical for both modes; it is accepted for interface symmetry.
-    """
+def splade_pool(logits: np.ndarray, content_span) -> SparseRep:
+    """Pool a (V, L) logit matrix over span columns into a SparseRep."""
     start, stop = content_span
     if stop <= start:
         raise ValueError(f"splade_pool: empty content span {content_span}")
@@ -99,45 +102,6 @@ def splade_pool(logits: np.ndarray, content_span, mode=PLAIN_RELU) -> SparseRep:
     weights = np.log1p(np.maximum(pooled, 0.0)).astype(np.float32)
     keep = np.flatnonzero(weights > WEIGHT_FLOOR)
     return SparseRep(keep, weights[keep], vocab_size=logits.shape[0])
-
-
-def dot_score(q: SparseRep, d: SparseRep) -> float:
-    if q.vocab_size != d.vocab_size:
-        raise ValueError(f"vocab mismatch: {q.vocab_size} vs {d.vocab_size}")
-    qi, di = 0, 0
-    total = 0.0
-    qt, dt = q.term_ids, d.term_ids
-    while qi < len(qt) and di < len(dt):
-        if qt[qi] == dt[di]:
-            total += float(q.weights[qi]) * float(d.weights[di])
-            qi += 1
-            di += 1
-        elif qt[qi] < dt[di]:
-            qi += 1
-        else:
-            di += 1
-    return total
-
-
-def rank_loss(q: SparseRep, pos: SparseRep, negs) -> float:
-    """InfoNCE: -log softmax(s(q,pos)) over positive + negatives."""
-    if not negs:
-        raise ValueError("rank_loss: negatives must be non-empty")
-    scores = np.array([dot_score(q, pos)] + [dot_score(q, n) for n in negs])
-    m = scores.max()
-    return float(m + np.log(np.exp(scores - m).sum()) - scores[0])
-
-
-def flops_reg(batch) -> float:
-    """Sum over terms of the squared mean activation across the batch."""
-    if not batch:
-        raise ValueError("flops_reg: batch must be non-empty")
-    vocab = batch[0].vocab_size
-    sums = np.zeros(vocab, dtype=np.float64)
-    for rep in batch:
-        sums[rep.term_ids] += rep.weights
-    means = sums / len(batch)
-    return float(np.sum(means * means))
 
 
 def flops_reg_t(reps: Tensor) -> Tensor:
@@ -200,6 +164,12 @@ def write_reps(path, reps):
 
 
 def read_reps(path, vocab_size):
+    """Read a reps file into (doc_id, SparseRep) pairs.
+
+    Raises RepsFormatError naming path:line for a malformed pair, unsorted
+    or duplicate term ids, a term id outside the vocabulary, or a weight
+    that is not positive, not finite or overflows float32.
+    """
     out = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -215,7 +185,17 @@ def read_reps(path, vocab_size):
                         terms.append(int(t))
                         weights.append(float(w))
                     except ValueError:
-                        raise ValueError(f"{path}:{lineno}: bad term:weight pair {pair!r}") from None
-            out.append((doc_id, SparseRep(np.array(terms, dtype=np.int64),
-                                          np.array(weights, dtype=np.float32), vocab_size)))
+                        raise RepsFormatError(
+                            f"{path}:{lineno}: bad term:weight pair {pair!r}") from None
+            with np.errstate(over="ignore"):
+                w32 = np.array(weights, dtype=np.float32)
+            try:
+                if np.isinf(w32).any() and np.isfinite(weights).all():
+                    raise ValueError("weight overflows float32")
+                rep = SparseRep(np.array(terms, dtype=np.int64), w32, vocab_size)
+            except OverflowError:  # a term id beyond int64
+                raise RepsFormatError(f"{path}:{lineno}: term_id out of vocabulary range") from None
+            except ValueError as e:
+                raise RepsFormatError(f"{path}:{lineno}: {e}") from None
+            out.append((doc_id, rep))
     return out

@@ -7,6 +7,7 @@ from csplade.corpus import SynthSpec, build_vocab, synth_generate
 from csplade.encoder import BIDIRECTIONAL, EncoderConfig, EncoderModel
 from csplade.evalkit import mrr_at_k
 from csplade.index import build_index, search
+from csplade.splade import SparseRep
 from csplade.trainer import encode_texts
 
 
@@ -48,7 +49,6 @@ def evaluate_mrr(model, data, k=10, echo_mode=False):
 
 def random_sparse_rep(rng, vocab_size, max_nnz=12):
     """A random valid SparseRep for property and oracle tests."""
-    from csplade.splade import SparseRep
     nnz = int(rng.integers(0, max_nnz + 1))
     terms = np.sort(rng.choice(vocab_size, size=nnz, replace=False))
     weights = rng.uniform(0.05, 3.0, size=nnz).astype(np.float32)
@@ -197,3 +197,44 @@ def adamw_step_reference(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
         v += (1 - beta2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + eps)
         p.data -= np.float32(lr) * (update + weight_decay * p.data).astype(np.float32)
+
+
+# --- single-rep scoring oracles for the tensor losses of csplade.splade ---
+
+def dot_score(q: SparseRep, d: SparseRep) -> float:
+    if q.vocab_size != d.vocab_size:
+        raise ValueError(f"vocab mismatch: {q.vocab_size} vs {d.vocab_size}")
+    qi, di = 0, 0
+    total = 0.0
+    qt, dt = q.term_ids, d.term_ids
+    while qi < len(qt) and di < len(dt):
+        if qt[qi] == dt[di]:
+            total += float(q.weights[qi]) * float(d.weights[di])
+            qi += 1
+            di += 1
+        elif qt[qi] < dt[di]:
+            qi += 1
+        else:
+            di += 1
+    return total
+
+
+def rank_loss(q: SparseRep, pos: SparseRep, negs) -> float:
+    """InfoNCE: -log softmax(s(q,pos)) over positive + negatives."""
+    if not negs:
+        raise ValueError("rank_loss: negatives must be non-empty")
+    scores = np.array([dot_score(q, pos)] + [dot_score(q, n) for n in negs])
+    m = scores.max()
+    return float(m + np.log(np.exp(scores - m).sum()) - scores[0])
+
+
+def flops_reg(batch) -> float:
+    """Sum over terms of the squared mean activation across the batch."""
+    if not batch:
+        raise ValueError("flops_reg: batch must be non-empty")
+    vocab = batch[0].vocab_size
+    sums = np.zeros(vocab, dtype=np.float64)
+    for rep in batch:
+        sums[rep.term_ids] += rep.weights
+    means = sums / len(batch)
+    return float(np.sum(means * means))

@@ -224,3 +224,36 @@ class TestErrors:
         assert run_cli("search", "--queries", data / "queries.tsv",
                        "--bm25", "--out", tmp_path / "r.txt") == 1
         assert "corpus" in capsys.readouterr().err
+
+
+class TestEncodeBytes:
+    """The bytes `csplade encode` writes for each variant on a small fixed
+    pipeline (synth, adapt 5 steps, train 1 epoch), pinned by sha256. The
+    hashes were taken with the graph-building forward, so they pin that the
+    inference path gives the same reps. They depend on float32 rounding in
+    the BLAS GEMMs (taken with OpenBLAS 0.3 on x86-64); a BLAS build that
+    rounds differently needs new hashes, and then every variant should
+    change together."""
+
+    @pytest.mark.parametrize("variant, sha256", [
+        ("causal", "2c96c62c0a575c4f6757d96ad669d530f236af19f708c1d8f42757c3e9f11313"),
+        ("echo", "eee32e73906d3bafa1682bbf1e2e659b65a4a959b7ed97bd13cab3e39bf653ef"),
+        ("bi", "7b35508196da47690dd68a43b5d3be4b64084a8adc5b80a929670a1c1a98adbb"),
+    ])
+    def test_reps_bytes_pinned(self, synth_dir, tmp_path, variant, sha256):
+        adapted, vocab = tmp_path / "adapted.ckpt", tmp_path / "vocab.txt"
+        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv",
+                       "--steps", 5, "--warmup", 1, "--seq-len", 16,
+                       "--d-model", 16, "--layers", 1, "--heads", 2,
+                       "--max-seq-len", 32, "--variant", variant,
+                       "--vocab-out", vocab, "--out", adapted) == 0
+        trained = tmp_path / "trained.ckpt"
+        assert run_cli("train", "--model", adapted, "--vocab", vocab,
+                       "--triples", synth_dir / "triples.jsonl",
+                       "--corpus", synth_dir / "corpus.tsv",
+                       "--queries", synth_dir / "queries.tsv",
+                       "--epochs", 1, "--hard-negs", 1, "--out", trained) == 0
+        reps = tmp_path / "reps.txt"
+        assert run_cli("encode", "--model", trained, "--vocab", vocab,
+                       "--input", synth_dir / "corpus.tsv", "--out", reps) == 0
+        assert hashlib.sha256(reps.read_bytes()).hexdigest() == sha256

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from csplade import autodiff as ad
+from csplade.autodiff import ShapeError
 from csplade.encoder import (BIDIRECTIONAL, BOS_ID, CAUSAL, EOS_ID, PAD_ID,
                              SEP_ID, EncoderConfig, EncoderModel,
                              SequenceTooLongError, TokenSequence, echo_expand)
@@ -117,6 +119,84 @@ class TestForward:
         a, b = make_model(seed=4), make_model(seed=4)
         seq = TokenSequence([BOS_ID, 5, 6, EOS_ID], span=(1, 4))
         np.testing.assert_array_equal(a.forward_logits(seq), b.forward_logits(seq))
+
+
+def _perturbed_model(mask_mode, dtype):
+    """Two layers, every parameter perturbed off its init (gains of one and
+    zero biases would hide half the arithmetic), in float32 or float64."""
+    cfg = EncoderConfig(vocab_size=20, d_model=16, n_layers=2, n_heads=2,
+                        max_seq_len=16, mask_mode=mask_mode, seed=1)
+    m = EncoderModel(cfg)
+    rng = np.random.default_rng(7)
+    for p in m.params.values():
+        p.data = (p.data + rng.normal(0.0, 0.2, p.data.shape)).astype(dtype)
+    return m
+
+
+def _batches(variant, rng):
+    """(ids, lengths) batches: every length one at a time, then all of them
+    padded into one batch, then every fifth length padded together."""
+    if variant == "echo":
+        seqs = [echo_expand(TokenSequence([BOS_ID, *range(4, 4 + n), EOS_ID], span=(1, n + 2)), 16)
+                for n in range(1, 7)]                     # lengths 5, 7, ..., 15
+    else:
+        seqs = [TokenSequence(rng.integers(4, 20, size=n), span=(0, n)) for n in range(1, 17)]
+    out = []
+    for group in [[s] for s in seqs] + [seqs] + [seqs[i::5] for i in range(5)]:
+        l = max(s.length for s in group)
+        ids = np.full((len(group), l), PAD_ID)
+        for i, s in enumerate(group):
+            ids[i, :s.length] = s.ids
+        out.append((ids, np.array([s.length for s in group])))
+    return out
+
+
+VARIANTS = {"causal": CAUSAL, "echo": CAUSAL, "bi": BIDIRECTIONAL}
+
+
+class TestInferencePath:
+    """Without a graph to record, forward_batch runs on plain arrays; its
+    logits must be the graph path's bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_no_grad_bit_equal_to_graph(self, variant, dtype):
+        m = _perturbed_model(VARIANTS[variant], dtype)
+        for ids, lengths in _batches(variant, np.random.default_rng(3)):
+            graph = m.forward_batch(ids, lengths)
+            assert graph.requires_grad
+            with ad.no_grad():
+                plain = m.forward_batch(ids, lengths)
+            assert not plain.requires_grad and plain._backward is None
+            assert plain.dtype == graph.dtype == dtype
+            assert plain.shape == graph.shape == ids.shape + (20,)
+            assert plain.data.tobytes() == graph.data.tobytes(), (variant, lengths)
+
+    def test_untracked_parameters_take_the_plain_path(self, monkeypatch):
+        """No parameter requiring grad also records no graph."""
+        m = _perturbed_model(CAUSAL, np.float32)
+        ids, lengths = np.array([[BOS_ID, 5, 6, EOS_ID]]), np.array([4])
+        graph = m.forward_batch(ids, lengths).data
+        for p in m.params.values():
+            p.requires_grad = False
+        monkeypatch.setattr(ad, "attention", None)  # the graph path would call it
+        assert m.forward_batch(ids, lengths).data.tobytes() == graph.tobytes()
+
+    @pytest.mark.parametrize("ids, lengths, error, match", [
+        (np.full((1, 17), BOS_ID), [17], SequenceTooLongError, "exceeds max_seq_len 16"),
+        (np.array([[BOS_ID, -1, EOS_ID]]), [3], ShapeError, "ids out of range"),
+        (np.array([[BOS_ID, 20, EOS_ID]]), [3], ShapeError, "ids out of range"),
+        (np.array([[BOS_ID, 5, EOS_ID], [BOS_ID, -3, PAD_ID]]), [3, 2], ShapeError,
+         "ids out of range"),
+    ])
+    @pytest.mark.parametrize("mask_mode", [CAUSAL, BIDIRECTIONAL])
+    def test_both_paths_raise_the_same_error(self, mask_mode, ids, lengths, error, match):
+        m = _perturbed_model(mask_mode, np.float32)
+        with pytest.raises(error, match=match) as graph:
+            m.forward_batch(ids, np.array(lengths))
+        with pytest.raises(error, match=match) as plain, ad.no_grad():
+            m.forward_batch(ids, np.array(lengths))
+        assert str(plain.value) == str(graph.value)
 
 
 class TestEchoExpand:

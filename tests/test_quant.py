@@ -9,8 +9,7 @@ from csplade.corpus import build_vocab, tokenize
 from csplade.encoder import BIDIRECTIONAL, EncoderConfig, EncoderModel
 from csplade.quant import (CSV_HEADER, GROUPWISE, PER_CHANNEL, PER_TENSOR,
                            LatencyReport, QuantConfig, _dequantize_array,
-                           _quantize_array, bench_encode, forward_quantized,
-                           quantize_weights)
+                           _quantize_array, bench_encode, quantize_weights)
 
 
 def model_and_seq(seed=0):
@@ -96,7 +95,7 @@ class TestQuantizedModel:
     def test_forward_contract_matches_dequantized_model(self):
         model, seq = model_and_seq()
         qm = quantize_weights(model, QuantConfig(bits=8, granularity=PER_CHANNEL))
-        out = forward_quantized(qm, seq)
+        out = qm.dequantized_model().forward_logits(seq)
         assert out.shape == (model.cfg.vocab_size, seq.length)
         ref = qm.dequantized_model().forward_logits(seq)
         np.testing.assert_allclose(out, ref, atol=1e-5)
@@ -112,7 +111,7 @@ class TestQuantizedModel:
                 p.data = (codes * 2.0 ** -9).astype(np.float32)
         base = model.forward_logits(seq)
         cfg = QuantConfig(bits=8, granularity=PER_CHANNEL)
-        out = forward_quantized(quantize_weights(model, cfg), seq)
+        out = quantize_weights(model, cfg).dequantized_model().forward_logits(seq)
         np.testing.assert_array_equal(base, out)
 
     def test_monotone_degradation_4_vs_8_bit(self):
@@ -120,9 +119,9 @@ class TestQuantizedModel:
         base = model.forward_logits(seq)
         err = {}
         for bits, gran in ((8, PER_CHANNEL), (4, GROUPWISE)):
-            out = forward_quantized(
-                quantize_weights(model, QuantConfig(bits=bits, granularity=gran,
-                                                    group_size=16)), seq)
+            out = quantize_weights(model, QuantConfig(bits=bits, granularity=gran,
+                                                      group_size=16)
+                                   ).dequantized_model().forward_logits(seq)
             err[bits] = float(((out - base) ** 2).mean())
         assert err[4] > err[8]
 

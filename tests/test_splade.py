@@ -1,6 +1,8 @@
 """Pooling-transform, scoring, and loss tests (the math core)."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 
 from csplade import autodiff as ad
 from csplade.autodiff import Tensor, grad_check
-from csplade.splade import (LossBreakdown, SparseRep, adaptation_loss,
-                            dot_score, flops_reg, flops_reg_t, pool_reps,
-                            rank_loss, rank_loss_t, read_reps, splade_pool,
-                            write_reps)
+from csplade.splade import (LossBreakdown, RepsFormatError, SparseRep,
+                            adaptation_loss, flops_reg_t, pool_reps,
+                            rank_loss_t, read_reps, splade_pool, write_reps)
+from conftest import dot_score, flops_reg, rank_loss
 
 
 def rep(pairs, vocab_size=10):
@@ -33,6 +35,11 @@ class TestSparseRep:
     def test_rejects_out_of_vocab(self):
         with pytest.raises(ValueError, match="range"):
             SparseRep([1, 10], [1.0, 1.0], 10)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SparseRep([1, 2], [1.0, bad], 10)
 
     def test_to_dense(self):
         d = rep([(2, 1.5), (7, 0.5)]).to_dense()
@@ -272,3 +279,31 @@ class TestRepsFile:
         path.write_text("d1\t3:oops\n")
         with pytest.raises(ValueError, match=":1:"):
             read_reps(path, 10)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("3:oops", "bad term:weight pair '3:oops'"),           # bad weight
+        ("x:1.0", "bad term:weight pair 'x:1.0'"),             # bad term id
+        ("3", "bad term:weight pair '3'"),                     # no weight
+        ("3:1.0  4:1.0", "bad term:weight pair ''"),           # empty pair
+        ("4:1.0 3:1.0", "strictly increasing"),                # unsorted
+        ("3:1.0 3:2.0", "strictly increasing"),                # duplicate
+        ("3:1.0 10:1.0", "out of vocabulary range"),           # id = vocab size
+        ("-1:1.0", "out of vocabulary range"),                 # negative id
+        ("99999999999999999999:1.0", "out of vocabulary range"),  # beyond int64
+        ("3:0.0", "strictly positive"),                        # zero weight
+        ("3:-0.5", "strictly positive"),                       # negative weight
+        ("3:1e-50", "strictly positive"),                      # underflows to 0
+        ("3:nan", "finite"),
+        ("3:inf", "finite"),
+        ("3:1e40", "overflows float32"),
+    ])
+    def test_bad_line_raises_typed_error_with_location(self, tmp_path, pairs, message):
+        """Each bad line is refused with its location, before build_index
+        could turn an infinite weight into an infinite scale, and without a
+        numpy RuntimeWarning on the way."""
+        path = tmp_path / "reps.txt"
+        path.write_text(f"d1\t3:1.0\nd2\t{pairs}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RepsFormatError, match=rf"reps\.txt:2: .*{re.escape(message)}"):
+                read_reps(path, 10)
