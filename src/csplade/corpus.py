@@ -64,6 +64,8 @@ def build_vocab(texts, size=None):
 
 def tokenize(text, vocab: Vocabulary, max_len=64) -> TokenSequence:
     """[BOS] + ids + [EOS], truncated to max_len; span = content + EOS."""
+    if max_len < 2:
+        raise ValueError(f"tokenize: max_len must be >= 2 (BOS and EOS), got {max_len}")
     ids = [vocab.lookup(t) for t in text.lower().split()]
     if len(ids) + 2 > max_len:
         ids = ids[: max_len - 2]

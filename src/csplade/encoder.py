@@ -64,9 +64,16 @@ class EncoderConfig:
         for line in text.strip().splitlines():
             k, _, v = line.partition("=")
             kv[k] = v
-        for f in fields(cls):
-            if f.name not in kv:
-                raise ValueError(f"encoder config is missing key {f.name!r}")
+        names = [f.name for f in fields(cls)]
+        for name in names:
+            if name not in kv:
+                raise ValueError(f"encoder config is missing key {name!r}")
+        for key in kv:
+            if key not in names:
+                raise ValueError(f"encoder config has unknown key {key!r}")
+        if kv["echo_mode"] not in ("True", "False"):
+            raise ValueError(f"encoder config echo_mode must be True or False, "
+                             f"got {kv['echo_mode']!r}")
         return cls(
             vocab_size=int(kv["vocab_size"]),
             d_model=int(kv["d_model"]),

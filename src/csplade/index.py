@@ -168,20 +168,6 @@ def search(index: InvertedIndex, q: SparseRep, k: int) -> SearchResult:
     return SearchResult([index.doc_ids[i] for i in chosen], acc[chosen])
 
 
-def brute_force_search(reps, q: SparseRep, k: int) -> SearchResult:
-    """Independent oracle: densify every doc and dot it with the query."""
-    qd = q.to_dense()
-    doc_ids, scores = [], []
-    for doc_id, rep in reps:
-        doc_ids.append(doc_id)
-        scores.append(float(rep.to_dense() @ qd))
-    scores = np.array(scores)
-    cand = np.flatnonzero(scores > 0)
-    order = np.lexsort((cand, -scores[cand]))[:k]
-    chosen = cand[order]
-    return SearchResult([doc_ids[i] for i in chosen], scores[chosen])
-
-
 # --- serialization ---
 #
 # File layout (all integers little-endian):

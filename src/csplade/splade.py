@@ -116,28 +116,6 @@ def rank_loss_t(q_reps: Tensor, d_reps: Tensor, positive_cols: np.ndarray) -> Te
     return ad.softmax_cross_entropy(scores, positive_cols)
 
 
-def adaptation_loss(logits, token_ids, lambda_relu=1.0, target_weights=None):
-    """Two-term adaptation loss on (V, L) logits against next-token targets.
-
-    Returns (total, clm, relu_clm) as scalar Tensors sharing one graph,
-    so a single backward covers both terms. `target_weights` optionally
-    down-weights padded target positions.
-    """
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    v, l = logits.shape
-    if l < 2:
-        raise ValueError(f"adaptation_loss: need sequence length >= 2, got {l}")
-    # columns are positions: predict token t+1 from position t
-    pred = ad.slice_axis(ad.transpose(logits), 0, 0, l - 1)  # (L-1, V)
-    targets = token_ids[1:]
-    clm = ad.softmax_cross_entropy(pred, targets, target_weights)
-    relu_clm = ad.softmax_cross_entropy(log_saturate(pred), targets, target_weights)
-    total = ad.add(clm, ad.scale(relu_clm, lambda_relu))
-    return total, clm, relu_clm
-
-
 def adaptation_loss_batch(logits: Tensor, ids: np.ndarray, lengths: np.ndarray,
                           lambda_relu=1.0):
     """Batched adaptation loss on (B, L, V) logits; pads excluded."""

@@ -55,6 +55,8 @@ class AdaptConfig:
             raise ValueError("warmup_steps must be < steps")
         if self.lambda_relu < 0:
             raise ValueError("lambda_relu must be >= 0")
+        if self.seq_len < 2:
+            raise ValueError("seq_len must be >= 2 (BOS and EOS)")
 
 
 @dataclass
@@ -95,7 +97,6 @@ class TrainReport:
 
     CSV_HEADER = ("step,rank_loss,flops_q,flops_d,clm,relu_clm,total,dead_frac,"
                   "avg_nnz_q,avg_nnz_d,lr,step_ms")
-    _CSV_HEADER_NO_TIME = CSV_HEADER.rpartition(",")[0]  # files written before step_ms
 
     def append(self, step, rank_loss=0.0, flops_q=0.0, flops_d=0.0, clm=0.0,
                relu_clm=0.0, total=0.0, dead_frac=0.0, avg_nnz_q=0.0,
@@ -128,18 +129,15 @@ class TrainReport:
 
     @classmethod
     def from_csv(cls, path):
-        """Read a report; a file without the step_ms column loads with
-        wall_clock 0."""
+        """Read a report written by `to_csv`."""
         report = cls()
         with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header not in (cls.CSV_HEADER, cls._CSV_HEADER_NO_TIME):
+            if f.readline().rstrip("\n") != cls.CSV_HEADER:
                 raise ValueError(f"unexpected report header in {path}")
             for line in f:
                 step, *vals = line.rstrip("\n").split(",")
                 vals = [float(v) for v in vals]
-                if header == cls.CSV_HEADER:
-                    vals[-1] /= 1e3  # step_ms -> wall_clock seconds
+                vals[-1] /= 1e3  # step_ms -> wall_clock seconds
                 report.append(int(step), *vals)
         return report
 

@@ -6,7 +6,7 @@ import pytest
 from csplade.corpus import SynthSpec, build_vocab, synth_generate
 from csplade.encoder import BIDIRECTIONAL, EncoderConfig, EncoderModel
 from csplade.evalkit import mrr_at_k
-from csplade.index import build_index, search
+from csplade.index import SearchResult, build_index, search
 from csplade.splade import SparseRep
 from csplade.trainer import encode_texts
 
@@ -71,6 +71,20 @@ def scatter_add_search(index, q, k):
     cand = np.flatnonzero(acc > 0)
     chosen = cand[np.lexsort((cand, -acc[cand]))][:k]
     return [index.doc_ids[i] for i in chosen], acc[chosen]
+
+
+def brute_force_search(reps, q: SparseRep, k: int) -> SearchResult:
+    """Independent oracle: densify every doc and dot it with the query."""
+    qd = q.to_dense()
+    doc_ids, scores = [], []
+    for doc_id, rep in reps:
+        doc_ids.append(doc_id)
+        scores.append(float(rep.to_dense() @ qd))
+    scores = np.array(scores)
+    cand = np.flatnonzero(scores > 0)
+    order = np.lexsort((cand, -scores[cand]))[:k]
+    chosen = cand[order]
+    return SearchResult([doc_ids[i] for i in chosen], scores[chosen])
 
 
 # --- oracles for the fused autodiff ops: the primitive chains they replace ---

@@ -21,7 +21,7 @@ from csplade.index import (build_index, deserialize, index_size_bytes, search,
                            serialize)
 from csplade.quant import (GROUPWISE, PER_CHANNEL, QuantConfig, bench_encode,
                            quantize_weights)
-from csplade.splade import (adaptation_loss, flops_reg_t, pool_reps,
+from csplade.splade import (adaptation_loss_batch, flops_reg_t, pool_reps,
                             rank_loss_t, splade_pool)
 from csplade.trainer import (AdaptConfig, ContrastiveConfig,
                              empty_rep_fraction, encode_reps_tensor,
@@ -107,13 +107,14 @@ def test_ac1_gradient_correctness(capsys):
             pipeline, Tensor(_nudge(rng.normal(size=(2, 3, 6))), dtype=np.float64)))
 
         # composed adaptation loss from logits
-        ids = rng.integers(1, 5, size=4)
+        ids = rng.integers(1, 5, size=(1, 4))
 
         def adapt_pipeline(logits):
-            return adaptation_loss(logits, ids, 1.0)[0]
+            return adaptation_loss_batch(logits, ids, np.array([4]), 1.0)[0]
 
+        x = _nudge(rng.normal(size=(6, 4)))  # (V, L)
         worst = max(worst, grad_check(
-            adapt_pipeline, Tensor(_nudge(rng.normal(size=(6, 4))), dtype=np.float64)))
+            adapt_pipeline, Tensor(np.ascontiguousarray(x.T[None]), dtype=np.float64)))
 
     # full encoder: gradients of the contrastive loss w.r.t. parameters
     for seed in (0, 1):

@@ -204,6 +204,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_adapt_seq_len_below_two_exits_one(self, synth_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", 2,
+                       "--warmup", 1, "--seq-len", 1, "--vocab-out", tmp_path / "v.txt",
+                       "--out", tmp_path / "a.ckpt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "seq_len" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "a.ckpt").exists()
+
     @pytest.mark.parametrize("debug", ["0", "1"])
     def test_traceback_only_under_debug(self, tmp_path, capsys, monkeypatch, debug):
         monkeypatch.setenv("CSPLADE_DEBUG", debug)

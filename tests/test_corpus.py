@@ -54,6 +54,16 @@ class TestTokenize:
         seq = tokenize("a b c d e f g h", v, max_len=5)
         assert seq.length == 5 and seq.ids[-1] == EOS_ID and seq.ids[0] == BOS_ID
 
+    @pytest.mark.parametrize("max_len", [1, 0, -3])
+    def test_max_len_below_two_rejected(self, max_len):
+        v = build_vocab(["a b c d e"])
+        with pytest.raises(ValueError, match="max_len"):
+            tokenize("a b c d e", v, max_len=max_len)
+
+    def test_max_len_two_keeps_bos_and_eos(self):
+        v = build_vocab(["a b c d e"])
+        assert tokenize("a b c d e", v, max_len=2).ids.tolist() == [BOS_ID, EOS_ID]
+
     def test_detokenize_round_trip(self):
         v = build_vocab(["the quick brown fox"])
         text = "quick fox the"

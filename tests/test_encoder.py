@@ -43,6 +43,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             EncoderConfig.from_text(text)
 
+    def test_unknown_key_rejected(self):
+        text = EncoderConfig(vocab_size=33).to_text() + "dropout=0.1\n"
+        with pytest.raises(ValueError, match="unknown key 'dropout'"):
+            EncoderConfig.from_text(text)
+
+    @pytest.mark.parametrize("value", ["true", "1"])
+    def test_echo_mode_must_be_true_or_false(self, value):
+        text = EncoderConfig(vocab_size=33, echo_mode=True).to_text().replace(
+            "echo_mode=True", f"echo_mode={value}")
+        with pytest.raises(ValueError, match="echo_mode must be True or False"):
+            EncoderConfig.from_text(text)
+
 
 class TestForward:
     def test_single_token_shape(self):

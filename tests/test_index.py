@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sparse_rep, scatter_add_search
+from conftest import brute_force_search, random_sparse_rep, scatter_add_search
 from csplade._kernels import varint_decode, varint_encode
-from csplade.index import (MAGIC, IndexFormatError, brute_force_search,
-                           build_index, deserialize, ef_decode, ef_encode,
-                           index_size_bytes, read_run, search, serialize,
-                           write_run)
+from csplade.index import (MAGIC, IndexFormatError, build_index, deserialize,
+                           ef_decode, ef_encode, index_size_bytes, read_run,
+                           search, serialize, write_run)
 from csplade.splade import SparseRep
 
 

@@ -7,7 +7,8 @@ perfbench/layers.py. A probe whose target was renamed either raises
 KeyError (methods) or silently wraps nothing (functions). These tests
 install the probes exactly as run.py does, without editing the benchmark
 files, and check that every probe found its target and sees the calls the
-workloads count.
+workloads count. The run record (perfbench/record.py) reads csplade names
+too; a run fails only after all its passes if one of them is gone.
 """
 
 import importlib
@@ -21,7 +22,8 @@ import pytest
 from csplade.corpus import build_vocab
 from csplade.encoder import CAUSAL, EncoderConfig, EncoderModel
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -33,6 +35,7 @@ def _load(name):
 
 tracing = _load("tracing")
 layers = _load("layers")
+record = _load("record")
 run = _load("run")
 
 TEXTS = ["alpha beta gamma", "delta alpha", "epsilon zeta eta theta beta", "gamma"]
@@ -122,3 +125,8 @@ def test_encode_texts_pools_once_per_text(probed, echo_mode):
     # inference records no graph and calls no autodiff op
     ops = [name for name in tracer.names if name.startswith("autodiff.")]
     assert ops and [name for name in ops if _calls(tracer, name)] == []
+
+
+def test_run_record_reads_its_csplade_names():
+    env = record.environment(ROOT)
+    assert {"use_numba", "git_commit"} <= env.keys()

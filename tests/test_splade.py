@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from csplade import autodiff as ad
 from csplade.autodiff import Tensor, grad_check
 from csplade.splade import (LossBreakdown, RepsFormatError, SparseRep,
-                            adaptation_loss, flops_reg_t, pool_reps,
+                            adaptation_loss_batch, flops_reg_t, pool_reps,
                             rank_loss_t, read_reps, splade_pool, write_reps)
 from conftest import dot_score, flops_reg, rank_loss
 
@@ -183,49 +183,91 @@ class TestScoringAndLosses:
         assert b.total == pytest.approx(1.0 + 0.2 + 0.6, abs=1e-6)
 
 
+def one_sequence(ids):
+    """(1, L) ids and their length: a batch of one unpadded sequence."""
+    ids = np.asarray(ids)[None]
+    return ids, np.array([ids.shape[1]])
+
+
+def mean_ce(mat, targets):
+    """Numpy oracle: mean softmax cross-entropy of (N, V) rows."""
+    shifted = mat - mat.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.mean(logz - shifted[np.arange(len(targets)), targets]))
+
+
 class TestAdaptationLoss:
     def test_lambda_zero_equals_clm(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=(7, 4))
-        ids = np.array([1, 2, 3, 2])
-        total, clm, _ = adaptation_loss(logits, ids, lambda_relu=0.0)
+        logits = rng.normal(size=(7, 4)).T[None]
+        total, clm, _ = adaptation_loss_batch(logits, *one_sequence([1, 2, 3, 2]),
+                                              lambda_relu=0.0)
         assert float(total.data) == pytest.approx(float(clm.data), abs=1e-7)
 
     def test_uniform_zero_logits(self):
         v = 9
-        total, clm, relu_clm = adaptation_loss(np.zeros((v, 3)), [1, 2, 3], 1.0)
+        total, clm, relu_clm = adaptation_loss_batch(np.zeros((1, 3, v)),
+                                                     *one_sequence([1, 2, 3]), 1.0)
         assert float(clm.data) == pytest.approx(math.log(v), abs=1e-6)
         assert float(relu_clm.data) == pytest.approx(math.log(v), abs=1e-6)
         assert float(total.data) == pytest.approx(2 * math.log(v), abs=1e-6)
 
     def test_total_is_sum_of_terms(self):
         rng = np.random.default_rng(6)
-        logits = rng.normal(size=(8, 5))
+        logits = rng.normal(size=(8, 5)).T[None]
         ids = np.array([1, 4, 2, 7, 3])
-        total, clm, relu_clm = adaptation_loss(logits, ids, lambda_relu=1.0)
+        total, clm, relu_clm = adaptation_loss_batch(logits, *one_sequence(ids),
+                                                     lambda_relu=1.0)
         # oracle: recompute each term independently
-        pred = logits[:, :-1].T
+        pred = logits[0, :-1]
         targets = ids[1:]
-
-        def ce(mat):
-            shifted = mat - mat.max(axis=1, keepdims=True)
-            logz = np.log(np.exp(shifted).sum(axis=1))
-            return float(np.mean(logz - shifted[np.arange(len(targets)), targets]))
-
-        assert float(clm.data) == pytest.approx(ce(pred), abs=1e-5)
-        assert float(relu_clm.data) == pytest.approx(ce(np.log1p(np.maximum(pred, 0))), abs=1e-5)
+        assert float(clm.data) == pytest.approx(mean_ce(pred, targets), abs=1e-5)
+        assert float(relu_clm.data) == pytest.approx(
+            mean_ce(np.log1p(np.maximum(pred, 0)), targets), abs=1e-5)
         assert float(total.data) == pytest.approx(float(clm.data) + float(relu_clm.data), abs=1e-6)
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
-            adaptation_loss(np.zeros((5, 1)), [1])
+            adaptation_loss_batch(np.zeros((1, 1, 5)), *one_sequence([1]))
 
     def test_single_backward_covers_both_terms(self):
-        logits = Tensor(np.random.default_rng(7).normal(size=(6, 4)),
+        logits = Tensor(np.random.default_rng(7).normal(size=(6, 4)).T[None],
                         requires_grad=True, dtype=np.float64)
-        total, _, _ = adaptation_loss(logits, [1, 2, 3, 1], 1.0)
+        total, _, _ = adaptation_loss_batch(logits, *one_sequence([1, 2, 3, 1]), 1.0)
         total.backward()
         assert logits.grad is not None and np.isfinite(logits.grad).all()
+
+    def test_padding_excluded(self):
+        """Lengths (4, 2) at L = 4: only the 3 + 1 targets inside each
+        sequence count, and logits past a sequence's end have no effect."""
+        rng = np.random.default_rng(11)
+        v = 7
+        ids = np.array([[1, 4, 2, 6], [1, 5, 0, 0]])
+        lengths = np.array([4, 2])
+        x = rng.normal(size=(2, 4, v))
+        pred = np.concatenate([x[0, :3], x[1, :1]])
+        targets = np.concatenate([ids[0, 1:], ids[1, 1:2]])
+
+        def loss_and_grad(data):
+            logits = Tensor(data, requires_grad=True, dtype=np.float64)
+            total, clm, relu_clm = adaptation_loss_batch(logits, ids, lengths, 1.0)
+            total.backward()
+            return float(total.data), float(clm.data), float(relu_clm.data), logits.grad
+
+        total, clm, relu_clm, grad = loss_and_grad(x)
+        assert clm == pytest.approx(mean_ce(pred, targets), abs=1e-5)
+        assert relu_clm == pytest.approx(mean_ce(np.log1p(np.maximum(pred, 0)), targets),
+                                         abs=1e-5)
+        # a row predicts a valid target only before its sequence's last token
+        valid = np.arange(4)[None, :] < lengths[:, None] - 1
+        assert (grad[~valid] == 0).all()
+
+        changed = x.copy()
+        changed[1, 2:] = 50.0 * rng.normal(size=(2, v))
+        total2, _, _, grad2 = loss_and_grad(changed)
+        assert total2 == total
+        np.testing.assert_array_equal(grad2[valid], grad[valid])
+        assert (grad2[~valid] == 0).all()
 
 
 class TestComposedGradients:
@@ -244,16 +286,16 @@ class TestComposedGradients:
         assert grad_check(f, Tensor(x, dtype=np.float64)) < 1e-6
 
     def test_adaptation_pipeline(self):
-        ids = np.array([1, 3, 2, 3])
+        ids, lengths = one_sequence([1, 3, 2, 3])
 
         def f(logits):
-            total, _, _ = adaptation_loss(logits, ids, 1.0)
+            total, _, _ = adaptation_loss_batch(logits, ids, lengths, 1.0)
             return total
 
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 4))
         x[np.abs(x) < 1e-3] += 2e-3
-        assert grad_check(f, Tensor(x, dtype=np.float64)) < 1e-6
+        assert grad_check(f, Tensor(np.ascontiguousarray(x.T[None]), dtype=np.float64)) < 1e-6
 
 
 class TestRepsFile:

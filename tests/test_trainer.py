@@ -49,6 +49,11 @@ class TestConfigs:
         with pytest.raises(ValueError, match="warmup"):
             AdaptConfig(steps=10, warmup_steps=10)
 
+    @pytest.mark.parametrize("seq_len", [1, 0])
+    def test_seq_len_below_two_rejected(self, seq_len):
+        with pytest.raises(ValueError, match="seq_len"):
+            AdaptConfig(seq_len=seq_len)
+
     def test_negative_lambdas_rejected(self):
         with pytest.raises(ValueError):
             AdaptConfig(lambda_relu=-1.0)
@@ -169,15 +174,6 @@ class TestTrainReport:
         assert loaded.rank_loss == pytest.approx([1.5, 1.2])
         assert loaded.dead_frac == pytest.approx([0.25, 0.0])
         assert loaded.wall_clock == pytest.approx([0.01, 0.0])
-
-    def test_reads_report_without_step_ms(self, tmp_path):
-        path = tmp_path / "old.csv"
-        path.write_text("step,rank_loss,flops_q,flops_d,clm,relu_clm,total,dead_frac,"
-                        "avg_nnz_q,avg_nnz_d,lr\n"
-                        "3,1.5,0.1,0.2,0.0,0.0,1.8,0.25,3.0,5.0,0.001\n")
-        loaded = TrainReport.from_csv(path)
-        assert loaded.steps == [3] and loaded.lr == pytest.approx([0.001])
-        assert loaded.wall_clock == [0.0]
 
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
