@@ -4,16 +4,19 @@ Impacts are linearly quantized against the collection-wide maximum
 weight (floor 1 so no posting vanishes), doc ordinals are Elias-Fano coded
 per posting list and numbered doc ids are stored as runs.
 
-Scoring is term-at-a-time into a dense float64 accumulator. In memory, a
-posting list dense enough that a full-length impact row costs no more
-bytes than its ordinals plus impacts is also held as that row (0 marks an
-absent doc), and is scored by whole-row multiply-adds; sparser lists are
-scattered by ordinal. Top-k partitions the scores at the k-th largest and
-sorts only the candidates at or above it. Learned sparse weights make most
-lists dense, which favours this exhaustive accumulation (Mackenzie, Trotman
-& Lin, "Wacky Weights in Learned Sparse Representations and the Revenge of
-Score-at-a-Time Query Evaluation", 2021). The rows change neither the
-rankings nor the file format.
+Search is exact and runs in two passes. In memory, every posting list
+dense enough that a full-length impact row costs no more bytes than its
+ordinals plus impacts is also held as a row of one float32 block (0 marks
+an absent doc; 4 bytes x dense lists x docs). Pass 1 scores every doc
+approximately in float32: one GEMV of the query weights against the block,
+plus a scatter-add for the sparser lists. Pass 2 takes the k-th largest
+approximate score, keeps every doc within a proven float32 error bound of
+it, and rescores only those in float64 in query term order, so ids, scores
+and tie order equal a float64 scatter-add over all lists, bit for bit.
+Learned sparse weights make most lists dense, which favours this exhaustive
+first pass (Mackenzie, Trotman & Lin, "Wacky Weights in Learned Sparse
+Representations and the Revenge of Score-at-a-Time Query Evaluation",
+2021). The block changes neither the rankings nor the file format.
 """
 
 from __future__ import annotations
@@ -49,15 +52,21 @@ class InvertedIndex:
         self.scale = scale
         self.doc_ids = list(doc_ids)
         self.postings = postings  # dict term_id -> PostingList
-        # term_id -> full-length impact row, for lists where the row is no
-        # larger than ordinals (4 bytes each) plus impacts (w bytes each)
-        self.rows = {}
-        for t, plist in postings.items():
-            w = plist.impacts.itemsize
-            if len(plist.ordinals) * (4 + w) >= self.doc_count * w:
-                row = np.zeros(self.doc_count, dtype=plist.impacts.dtype)
-                row[plist.ordinals] = plist.impacts
-                self.rows[t] = row
+        # A list is dense when a full-length row costs no more bytes than its
+        # ordinals (4 bytes each) plus impacts (w bytes each). Dense lists are
+        # stacked in ascending term order into one float32 block (0 marks an
+        # absent doc); every impact width is exact in float32. block_row
+        # maps term id -> block row, so its size follows the lists present,
+        # not the header's vocab_size.
+        dense = [t for t in sorted(postings)
+                 if len(postings[t].ordinals) * (4 + postings[t].impacts.itemsize)
+                 >= self.doc_count * postings[t].impacts.itemsize]
+        self.block_row = {t: r for r, t in enumerate(dense)}
+        self.block = np.zeros((len(dense), self.doc_count), dtype=np.float32)
+        for row, t in zip(self.block, dense):
+            row[postings[t].ordinals] = postings[t].impacts
+        self.max_impact = max((float(p.impacts.max()) for p in postings.values()),
+                              default=0.0)
 
     @property
     def doc_count(self):
@@ -127,45 +136,90 @@ class SearchResult:
         return list(zip(self.doc_ids, self.scores))
 
 
+_U32 = 2.0 ** -24       # unit roundoff of float32
+_TINY32 = 2.0 ** -149   # smallest positive float32 (subnormal)
+
+
 def search(index: InvertedIndex, q: SparseRep, k: int) -> SearchResult:
     """Exact top-k by dot product over dequantized impacts.
 
     Ties break by ascending doc ordinal. Docs with score 0 are never
-    returned, so an empty query rep yields an empty result.
+    returned, so an empty query rep yields an empty result. Doc ids and
+    float64 scores equal, bit for bit, those of scatter-adding
+    qw * (impact * factor) per query term in term order into a zeroed
+    float64 accumulator.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if index.vocab_size and q.vocab_size != index.vocab_size:
         raise ValueError(f"vocab mismatch: query {q.vocab_size} vs index {index.vocab_size}")
-    acc = np.zeros(index.doc_count, dtype=np.float64)
-    buf = np.empty_like(acc)
-    factor = np.float64(index.dequant_factor())
-    # per posting: acc += qw * (impact * factor), so both forms sum the same
-    # float64 values in the same order; an absent doc in a row adds +0.0
-    for t, qw in zip(q.term_ids, q.weights):
-        t, qw = int(t), float(qw)
-        row = index.rows.get(t)
-        if row is not None:
-            np.multiply(row, factor, out=buf)
-            buf *= qw
-            acc += buf
-            continue
-        plist = index.postings.get(t)
-        if plist is not None:
-            np.add.at(acc, plist.ordinals, qw * (plist.impacts.astype(np.float64) * factor))
-    cand = np.flatnonzero(acc > 0)
-    if cand.size == 0:
-        return SearchResult([], np.empty(0))
-    scores = acc[cand]
-    if cand.size > k:
-        # keep every score tied with the k-th largest, so the sort below
-        # still breaks those ties by ordinal
-        keep = scores >= np.partition(scores, cand.size - k)[cand.size - k]
-        cand, scores = cand[keep], scores[keep]
+    tids, w = q.term_ids.tolist(), q.weights.astype(np.float64)
+    row = np.array([index.block_row.get(t, -1) for t in tids], dtype=np.int64)
+    used = np.flatnonzero(np.array([t in index.postings for t in tids], dtype=bool))
+    dense = row >= 0
+    sparse = used[~dense[used]]
+    n = index.block.shape[0] + sparse.size + 1
+
+    # Pass 1, filter: approx = sum_t w'_t * impact_t in float32, one GEMV
+    # over the block plus add.at for the sparse lists. w'_t = w_t * 2**e is
+    # exact unless it lands below float32's normal range, and 2**e puts
+    # n * max w' * max(max impact, 1) below 2**126, so no product or sum
+    # overflows.
+    #
+    # Error bound. Let T = sum_t w_t 2**e impact_t in real arithmetic. Each
+    # doc's approx sums at most n - 1 products with non-negative terms, in
+    # any order (BLAS blocking or FMA included), so with u = 2**-24 and
+    # gamma = n u / (1 - n u):
+    #   |approx - T| <= gamma T + a,  a = n 2**-149 (max impact + 1),
+    # where a covers a weight or product rounded in the subnormal range
+    # (each off by at most 2**-150 before it is scaled by an impact).
+    # The float64 oracle S = sum (impact * factor) * w adds at most n + 1
+    # roundings of 2**-53, so S is within gamma' = gamma / 2 of the real
+    # score relative, and T is proportional to the real score. Take tau,
+    # the k-th largest approx, and a doc d of the oracle's top-k (ties
+    # included). At most k - 1 docs score above d, so one of the k docs with
+    # approx >= tau, e, has S_e <= S_d, hence
+    #   T_e <= T_d (1 + gamma') / (1 - gamma'),
+    #   tau <= approx_e <= (1 + gamma) T_e + a,
+    #   approx_d >= (1 - gamma) T_d - a >= (1 - 3 gamma) tau - 2 a.
+    # The threshold below uses 4 gamma, which also covers its own float64
+    # rounding. When it is <= 0 (fewer than k docs score), every doc is a
+    # candidate.
+    top = float(np.max(w, initial=0.0)) * max(index.max_impact, 1.0) * n
+    w32 = np.ldexp(w, 126 - np.frexp(top)[1]).astype(np.float32)
+    wblock = np.zeros(index.block.shape[0], dtype=np.float32)
+    wblock[row[dense]] = w32[dense]
+    approx = wblock @ index.block
+    for i in sparse:
+        plist = index.postings[tids[i]]
+        np.add.at(approx, plist.ordinals, w32[i] * plist.impacts.astype(np.float32))
+    kth = max(index.doc_count - k, 0)
+    tau = float(np.partition(approx, kth)[kth]) if approx.size else 0.0
+    gamma = n * _U32 / (1 - min(n * _U32, 0.5))  # past n u = 1/2: gamma >= 1, all docs pass
+    threshold = np.float64(tau * (1 - 4 * gamma) - 2 * n * _TINY32 * (index.max_impact + 1))
+    cand = np.flatnonzero(approx >= threshold)  # compared in float64
+
+    # Pass 2, rescoring: rows are the used query terms in query order, after
+    # a zero row that starts every sum at +0.0 as the oracle's accumulator
+    # does; an absent doc adds (0 * factor) * w = +0.0. add.accumulate along
+    # axis 0 adds row after row for every column (add.reduce would sum a
+    # lone column pairwise), so each score is the oracle's float64 sum.
+    imp = np.zeros((used.size + 1, cand.size))
+    in_block = dense[used]
+    imp[1:][in_block] = index.block[np.ix_(row[used[in_block]], cand)]
+    for j in np.flatnonzero(~in_block):
+        plist = index.postings[tids[used[j]]]
+        at = np.minimum(np.searchsorted(plist.ordinals, cand), len(plist.ordinals) - 1)
+        hit = plist.ordinals[at] == cand
+        imp[1 + j, hit] = plist.impacts[at[hit]]
+    imp *= index.dequant_factor()
+    imp[1:] *= w[used, None]
+    exact = np.add.accumulate(imp, axis=0)[-1]
+    keep = exact > 0
+    cand, exact = cand[keep], exact[keep]
     # sort by (-score, ordinal); lexsort uses the last key as primary
-    order = np.lexsort((cand, -scores))[:k]
-    chosen = cand[order]
-    return SearchResult([index.doc_ids[i] for i in chosen], acc[chosen])
+    order = np.lexsort((cand, -exact))[:k]
+    return SearchResult([index.doc_ids[i] for i in cand[order]], exact[order])
 
 
 # --- serialization ---
@@ -379,6 +433,8 @@ def deserialize(path) -> InvertedIndex:
         if pos + count * width > len(blob):
             raise IndexFormatError(f"truncated impacts at byte {pos}")
         impacts = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).copy()
+        if not (impacts > 0).all() or not np.isfinite(impacts).all():
+            raise IndexFormatError(f"impact not finite and positive at byte {pos}")
         pos += count * width
         postings[t] = PostingList(t, ords, impacts)
     if pos != len(blob):

@@ -137,7 +137,7 @@ def write_reps(path, reps):
     """reps: iterable of (doc_id, SparseRep)."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc_id, rep in reps:
-            pairs = " ".join(f"{t}:{w:.6f}" for t, w in zip(rep.term_ids, rep.weights))
+            pairs = " ".join(map("{}:{:.6f}".format, rep.term_ids.tolist(), rep.weights.tolist()))
             f.write(f"{doc_id}\t{pairs}\n")
 
 

@@ -221,7 +221,7 @@ class TestSearchMatchesScatterAdd:
         rng = np.random.default_rng([bits, len(layout)])
         for _ in range(4):
             idx = build_index(_layout_docs(rng, layout), bits=bits)
-            dense, lists = len(idx.rows), len(idx.postings)
+            dense, lists = len(idx.block_row), len(idx.postings)
             assert {"sparse": dense == 0, "full": dense == lists,
                     "mixed": 0 < dense < lists}[layout]
             for k in (1, 5, 10, 100):
@@ -232,8 +232,9 @@ class TestSearchMatchesScatterAdd:
         docs = [(f"d{i}", rep([(1, 1.0)] + ([(2, 1.0)] if i < 2 else [])
                              + ([(3, 1.0)] if i < 1 else []))) for i in range(10)]
         idx = build_index(docs, bits=8)
-        assert sorted(idx.rows) == [1, 2]
-        assert idx.rows[2].tolist() == [255, 255] + [0] * 8
+        assert sorted(idx.block_row) == [1, 2]
+        assert idx.block.dtype == np.float32 and idx.block.flags.c_contiguous
+        assert idx.block[idx.block_row[2]].tolist() == [255, 255] + [0] * 8
 
     @pytest.mark.parametrize("bits", [0, 8])
     def test_ties_at_kth_score(self, bits):
@@ -252,6 +253,130 @@ class TestSearchMatchesScatterAdd:
         q = rep([(int(next(iter(idx.postings))), 1.0)], 16)
         _assert_search_is_scatter_add(idx, q, idx.doc_count + 5)
         assert len(search(idx, rep([], 16), 10)) == 0
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_weights_spanning_float32_range(self, bits):
+        # the filter rescales the query weights by a power of two; weights
+        # from float32's subnormals to its largest values share one query
+        rng = np.random.default_rng(bits + 20)
+        idx = build_index(_layout_docs(rng, "mixed"), bits=bits)
+        weights = [1e-45, 1e-38, 3e-30, 1.0, 7e20, 1e38]
+        for _ in range(8):
+            terms = np.sort(rng.choice(16, size=len(weights), replace=False))
+            q = SparseRep(terms, rng.permutation(weights), 16)
+            for k in (1, 3, 10, idx.doc_count):
+                _assert_search_is_scatter_add(idx, q, k)
+
+    def test_sums_near_float32_overflow(self):
+        # unscaled, "d"'s float32 sum stays finite and "e"'s rounds to inf
+        # although d's exact score is larger; the filter must rescale the
+        # query weights so that no sum overflows
+        d = [1.1342743873830482e+38, 1.1342746916191922e+38, 1.1342744887950962e+38]
+        e = [1.1342743873830482e+38, 1.1342744887950962e+38, 1.1342745902071442e+38]
+        docs = [("d", rep(list(zip((1, 2, 3), d)))), ("e", rep(list(zip((1, 2, 3), e))))]
+        docs += [(f"f{i}", rep([(0, 1.0)])) for i in range(6)]  # keeps 1..3 sparse
+        idx = build_index(docs, bits=0)
+        q = rep([(1, 1.0), (2, 1.0), (3, 1.0)])
+        assert search(idx, q, 1).doc_ids == ["d"]
+        for k in (1, 2, 8):
+            _assert_search_is_scatter_add(idx, q, k)
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_products_in_float32_subnormal_range(self, bits):
+        # next to a 1e38 weight, weights near 1e-40 stay below float32's
+        # normal range after rescaling and keep only a few bits, so the
+        # order of the docs that only they score rests on the absolute
+        # tolerance
+        rng = np.random.default_rng(bits + 25)
+        docs = [(f"big{i}", rep([(0, 1.0)])) for i in range(3)]
+        docs += [(f"d{i}", rep([(1, rng.uniform(0.5, 1.0)), (2, rng.uniform(0.5, 1.0))]))
+                 for i in range(200)]
+        idx = build_index(docs, bits=bits)
+        for _ in range(40):
+            q = rep([(0, 1e38), (1, rng.uniform(1e-41, 1e-39)), (2, rng.uniform(1e-41, 1e-39))])
+            for k in (4, 5, 6, 10, 40, 100):
+                _assert_search_is_scatter_add(idx, q, k)
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_scores_one_ulp_apart_at_kth(self, bits):
+        # term 0 impacts 250 or 251, term 1 impacts 1..255 weighted 2**-45:
+        # float32 sees only term 0, float64 sees the last bits of term 1
+        rng = np.random.default_rng(bits + 30)
+        docs = [(f"d{i}", rep([(0, float(rng.integers(250, 252))),
+                               (1, float(rng.integers(1, 256)))]))
+                for i in range(300)]
+        docs.append(("top", rep([(0, 255.0), (1, 255.0)])))  # fixes scale at 255
+        idx = build_index(docs, bits=bits)
+        q = rep([(0, 1.0), (1, 2.0 ** -45)])
+        _, scores = scatter_add_search(idx, q, idx.doc_count)
+        one_ulp = np.flatnonzero(scores[:-1] == np.nextafter(scores[1:], np.inf))
+        assert one_ulp.size >= 5
+        for j in one_ulp[:: max(1, one_ulp.size // 10)]:
+            for k in (j + 1, j + 2):  # the k-th place on either side of the ulp
+                _assert_search_is_scatter_add(idx, q, int(k))
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_scores_within_float32_rounding(self, bits):
+        # impacts a few float32 ulps apart: the float32 filter's order
+        # differs from the exact one, so only its tolerance keeps the top-k
+        rng = np.random.default_rng(bits + 35)
+        levels = (1 + np.arange(6) * 2.0 ** -22).astype(np.float32)
+        if bits:  # quantized: impacts a step apart near the top of the range
+            levels = ((2 ** bits - 6 + np.arange(6)) / (2 ** bits - 1)).astype(np.float32)
+        docs = [(f"d{i}", SparseRep([0, 1, 2, 3], rng.choice(levels, 4), 10))
+                for i in range(400)]
+        idx = build_index(docs, bits=bits)
+        for _ in range(10):
+            q = SparseRep([0, 1, 2, 3], rng.uniform(0.3, 3.0, 4), 10)
+            for k in (1, 2, 5, 10, 37):
+                _assert_search_is_scatter_add(idx, q, k)
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_fewer_than_k_docs_score(self, bits):
+        # random docs over terms 0..11; only three docs hold terms 13 and 14
+        rng = np.random.default_rng(bits + 40)
+        reps = [random_sparse_rep(rng, 12) for _ in range(50)]
+        docs = [(f"d{i}", SparseRep(r.term_ids, r.weights, 16)) for i, r in enumerate(reps)]
+        docs[7] = ("d7", rep([(13, 0.5)], 16))
+        docs[31] = ("d31", rep([(13, 2.0), (14, 1e-30)], 16))
+        docs[40] = ("d40", rep([(14, 3.0)], 16))
+        idx = build_index(docs, bits=bits)
+        for q in (rep([(13, 1.0), (14, 0.25)], 16), rep([(14, 1e-38)], 16)):
+            for k in (1, 2, 3, 4, 10, 100):
+                _assert_search_is_scatter_add(idx, q, k)
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_k_above_doc_count(self, bits):
+        rng = np.random.default_rng(bits + 50)
+        idx = build_index(_layout_docs(rng, "mixed"), bits=bits)
+        for _ in range(5):
+            q = random_sparse_rep(rng, 16)
+            for k in (idx.doc_count, idx.doc_count + 1, 10 * idx.doc_count):
+                _assert_search_is_scatter_add(idx, q, k)
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_only_sparse_list_terms(self, bits):
+        rng = np.random.default_rng(bits + 60)
+        idx = build_index(_layout_docs(rng, "mixed"), bits=bits)
+        sparse = sorted(set(idx.postings) - set(idx.block_row))
+        assert len(sparse) >= 2
+        for _ in range(5):
+            terms = np.sort(rng.choice(sparse, size=min(4, len(sparse)), replace=False))
+            q = SparseRep(terms, rng.uniform(0.05, 3.0, size=terms.size), 16)
+            for k in (1, 5, 10, 100):
+                _assert_search_is_scatter_add(idx, q, k)
+
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    def test_single_candidate_sums_terms_in_order(self, bits):
+        # one doc matches: a lone column must still be summed term after
+        # term, not pairwise, for the scores to match scatter-add
+        rng = np.random.default_rng(bits + 70)
+        docs = [(f"d{i}", rep([(19, 1.0)], 20)) for i in range(5)]
+        docs.append(("all", SparseRep(np.arange(19), rng.uniform(0.05, 3, 19), 20)))
+        idx = build_index(docs, bits=bits)
+        for _ in range(20):
+            weights = rng.uniform(0.05, 3, 19) * 10.0 ** rng.integers(-6, 7, 19)
+            _assert_search_is_scatter_add(idx, SparseRep(np.arange(19), weights, 20), 1)
 
 
 class TestSerialization:
@@ -324,7 +449,7 @@ class TestSerialization:
     ])
     def test_bytes_unchanged_by_dense_rows(self, tmp_path, bits, sha256):
         idx = build_index(_layout_docs(np.random.default_rng(6), "mixed"), bits=bits)
-        assert 0 < len(idx.rows) < len(idx.postings)
+        assert 0 < len(idx.block_row) < len(idx.postings)
         path = tmp_path / "idx.bin"
         serialize(idx, path)
         blob = path.read_bytes()
@@ -433,6 +558,38 @@ class TestCorruptIndex:
     def test_bad_impact_width(self, tmp_path):
         with pytest.raises(IndexFormatError, match="impact width"):
             self._load(tmp_path, _raw(0, b"", struct.pack("<I", 0), bits=4))
+
+    def test_huge_vocab_size_in_header(self, tmp_path):
+        # the search tables follow the lists present, not the header's
+        # vocab_size; query terms past the largest indexed term score 0
+        rng = np.random.default_rng(13)
+        path = tmp_path / "idx.bin"
+        serialize(build_index([(f"d{i}", random_sparse_rep(rng, 20)) for i in range(10)],
+                              bits=8), path)
+        blob = bytearray(path.read_bytes())
+        blob[len(MAGIC): len(MAGIC) + 4] = struct.pack("<I", 0xFFFFFFFF)
+        idx = self._load(tmp_path, bytes(blob))
+        assert idx.vocab_size == 0xFFFFFFFF
+        last = max(idx.postings)
+        q = SparseRep([last, last + 1, 0xFFFFFFFE], [1.0, 2.0, 3.0], 0xFFFFFFFF)
+        _assert_search_is_scatter_add(idx, q, 5)
+        assert search(idx, q, 5).doc_ids == search(idx, SparseRep([last], [1.0], 0xFFFFFFFF),
+                                                  5).doc_ids
+        assert len(search(idx, SparseRep([last + 1, 0xFFFFFFFE], [2.0, 3.0], 0xFFFFFFFF),
+                          5)) == 0
+
+    @pytest.mark.parametrize("bits, value", [(0, -1.0), (0, 0.0), (0, np.inf), (0, np.nan),
+                                             (8, 0), (16, 0)])
+    def test_impact_not_finite_and_positive(self, tmp_path, bits, value):
+        # the search's error bound needs finite, positive impacts; the last
+        # bytes of a file are the impacts of its last list
+        path = tmp_path / "idx.bin"
+        serialize(build_index([("a", rep([(3, 1.0)])), ("b", rep([(3, 2.0)]))], bits=bits),
+                  path)
+        blob = path.read_bytes()
+        impact = np.array([value], dtype={0: np.float32, 8: np.uint8, 16: np.uint16}[bits])
+        with pytest.raises(IndexFormatError, match="impact not finite and positive"):
+            self._load(tmp_path, blob[:-impact.nbytes] + impact.tobytes())
 
     def test_every_truncation_rejected(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from csplade import autodiff as ad
 from csplade.autodiff import Tensor, grad_check
-from csplade.splade import (LossBreakdown, RepsFormatError, SparseRep,
+from csplade.splade import (WEIGHT_FLOOR, LossBreakdown, RepsFormatError, SparseRep,
                             adaptation_loss_batch, flops_reg_t, pool_reps,
                             rank_loss_t, read_reps, splade_pool, write_reps)
 from conftest import dot_score, flops_reg, rank_loss
@@ -315,6 +315,21 @@ class TestRepsFile:
         path = tmp_path / "reps.txt"
         write_reps(path, [("doc1", rep([(3, 1.25)]))])
         assert path.read_text() == "doc1\t3:1.250000\n"
+
+    def test_line_text_at_rounding_boundaries(self, tmp_path):
+        # float32 weights just above WEIGHT_FLOOR, at .6f halfway points
+        # (odd multiples of 2**-7 end in 5 at the seventh decimal and round
+        # half to even) and at float32's largest magnitudes
+        w = np.array([np.nextafter(np.float32(WEIGHT_FLOOR), np.float32(1)), 1.5e-6, 2.5e-6,
+                      2 ** -19, 1 / 128, 3 / 128, 5 / 128, 0.5078125, 0.1234565, 2.0000005,
+                      1234.5678125, 3.4e38], dtype=np.float32)
+        path = tmp_path / "reps.txt"
+        write_reps(path, [("doc 1", SparseRep(np.arange(w.size) * 7 + 2, w, 100)),
+                          ("empty", SparseRep([], [], 100))])
+        assert path.read_text() == (
+            "doc 1\t2:0.000001 9:0.000002 16:0.000002 23:0.000002 30:0.007812 37:0.023438 "
+            "44:0.039062 51:0.507812 58:0.123457 65:2.000000 72:1234.567871 "
+            "79:339999995214436424907732413799364296704.000000\nempty\t\n")
 
     def test_bad_pair_reports_line(self, tmp_path):
         path = tmp_path / "reps.txt"
