@@ -16,7 +16,6 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
-    "tensor",
     "ShapeError",
     "add",
     "sub",
@@ -150,10 +149,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def _toposort(root):
@@ -663,7 +658,8 @@ def attention(q, k, v, banned, heads):
 
     q, k, v: (B, L, d) tensors, split into `heads` heads of d // heads dims;
     banned: bool mask broadcastable to (B, heads, L, L), True where a query
-    position may not attend to a key position. Returns the (B, L, d) context.
+    position may not attend to a key position, or None when no query is
+    barred from any key. Returns the (B, L, d) context.
 
     The forward (`_attention`) computes the values of the primitive chain
     reshape, transpose, matmul, scale, masked_fill (ATTN_NEG), softmax,
@@ -680,7 +676,8 @@ def attention(q, k, v, banned, heads):
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: d={d} not divisible by heads={heads}")
     dh = d // heads
-    mask = np.broadcast_to(np.asarray(banned, dtype=bool), (b, heads, l, l))
+    mask = None if banned is None else np.broadcast_to(np.asarray(banned, dtype=bool),
+                                                       (b, heads, l, l))
     data, (q4, kt, v4, p, c) = _attention(q.data, k.data, v.data, mask, heads)
     if not _needs_grad(q, k, v):
         return Tensor(data)
@@ -693,7 +690,9 @@ def attention(q, k, v, banned, heads):
         if q.requires_grad or k.requires_grad:
             gp = np.matmul(g4, np.swapaxes(v4, -1, -2))
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-            gs = np.where(mask, 0.0, gs) * c
+            if mask is not None:
+                gs = np.where(mask, 0.0, gs)
+            gs *= c
             if q.requires_grad:
                 q._accumulate(merge(np.matmul(gs, np.swapaxes(kt, -1, -2))))
             if k.requires_grad:

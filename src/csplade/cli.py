@@ -71,24 +71,24 @@ def write_manifest(path, subcommand, args, outputs):
 
 
 def _variant_of(args, model, retrain=False):
-    """Resolve --variant against the checkpoint's stored mode.
+    """Resolve --variant against the checkpoint's stored mode, which is the
+    only mode the library reads.
 
     Without --variant the checkpoint's mode is used (and recorded in args).
-    An explicit --variant may switch the mode only when `retrain` is set;
-    an inference subcommand rejects a mismatch instead of silently running
-    the model in a mode it was not trained in.
+    An explicit --variant may switch `model.cfg` to another mode only when
+    `retrain` is set; an inference subcommand rejects a mismatch instead of
+    silently running the model in a mode it was not trained in.
     """
     stored = (model.cfg.mask_mode, model.cfg.echo_mode)
     stored_name = next((name for name, modes in VARIANTS.items() if modes == stored),
                        f"{stored[0]}{'+echo' if stored[1] else ''}")
     if args.variant is None:
         args.variant = stored_name
-        return stored
+        return
     if VARIANTS[args.variant] != stored and not retrain:
         raise ValueError(f"--variant {args.variant} conflicts with the checkpoint's "
                          f"mode {stored_name}; omit --variant to use it")
     model.cfg.mask_mode, model.cfg.echo_mode = VARIANTS[args.variant]
-    return VARIANTS[args.variant]
 
 
 def cmd_synth(args):
@@ -148,13 +148,12 @@ def cmd_train(args):
     collection = corpus_mod.load_corpus(args.corpus)
     queries = corpus_mod.load_queries(args.queries)
     triples = corpus_mod.load_triples(args.triples)
-    mask_mode, echo_mode = _variant_of(args, model, retrain=True)
+    _variant_of(args, model, retrain=True)
     cfg = ContrastiveConfig(
         epochs=args.epochs, global_batch_size=args.batch,
         hard_negatives_per_positive=args.hard_negs, lr=args.lr,
         warmup_fraction=args.warmup_fraction, lambda_q=args.lambda_q,
-        lambda_d=args.lambda_d, mask_mode=mask_mode, echo_mode=echo_mode,
-        seed=args.seed)
+        lambda_d=args.lambda_d, seed=args.seed)
     model, report = trainer.run_contrastive(model, triples, collection, queries, vocab, cfg)
     model.save(args.out)
     outputs = [args.out]
@@ -168,9 +167,9 @@ def cmd_train(args):
 def cmd_encode(args):
     model = EncoderModel.load(args.model)
     vocab = corpus_mod.Vocabulary.load(args.vocab)
-    _, echo_mode = _variant_of(args, model)
+    _variant_of(args, model)
     texts = corpus_mod.load_tsv(args.input)
-    reps = trainer.encode_texts(model, vocab, texts.values(), echo_mode=echo_mode)
+    reps = trainer.encode_texts(model, vocab, texts.values())
     splade.write_reps(args.out, zip(texts.keys(), reps))
     write_manifest(str(args.out) + ".manifest.json", "encode", args, [args.out])
     return 0
@@ -202,9 +201,9 @@ def cmd_search(args):
         idx = index_mod.deserialize(args.index)
         model = EncoderModel.load(args.model)
         vocab = corpus_mod.Vocabulary.load(args.vocab)
-        _, echo_mode = _variant_of(args, model)
+        _variant_of(args, model)
         for qid, text in queries.items():
-            rep = trainer.encode_texts(model, vocab, [text], echo_mode=echo_mode)[0]
+            rep = trainer.encode_texts(model, vocab, [text])[0]
             run[qid] = index_mod.search(idx, rep, args.k)
         tag = f"csplade-{args.variant}"
     index_mod.write_run(args.out, run, tag=tag)
@@ -223,9 +222,9 @@ def cmd_eval(args):
 def cmd_bench(args):
     model = EncoderModel.load(args.model)
     vocab = corpus_mod.Vocabulary.load(args.vocab)
-    _, echo_mode = _variant_of(args, model)
+    _variant_of(args, model)
     queries = corpus_mod.load_queries(args.queries)
-    seqs = [trainer.prepare_sequence(t, vocab, model.cfg, echo_mode)
+    seqs = [trainer.prepare_sequence(t, vocab, model.cfg, model.cfg.echo_mode)
             for t in queries.values()]
     configs = [
         ("fp32", None),

@@ -189,15 +189,9 @@ class EncoderModel:
         if l > cfg.max_seq_len:
             raise SequenceTooLongError(f"sequence length {l} exceeds max_seq_len {cfg.max_seq_len}")
         pm = self.params
+        banned = self._banned_keys(lengths, l)
         if not ad._needs_grad(*pm.values()):
-            return Tensor(self._forward_arrays(ids, lengths))
-
-        valid = np.arange(l)[None, :] < lengths[:, None]          # (B, L)
-        allowed = valid[:, None, None, :]                          # keys must be valid
-        if cfg.mask_mode == CAUSAL:
-            causal = np.tril(np.ones((l, l), dtype=bool))
-            allowed = allowed & causal[None, None, :, :]
-        banned = ~np.broadcast_to(allowed, (b, 1, l, l))
+            return Tensor(self._forward_arrays(ids, banned))
 
         x = ad.add(ad.embedding(pm["tok_emb"], ids),
                    ad.embedding(pm["pos_emb"], np.broadcast_to(np.arange(l), (b, l))))
@@ -219,22 +213,28 @@ class EncoderModel:
         logits = ad.add(ad.matmul(x, ad.transpose(pm["tok_emb"])), pm["logit_bias"])
         return logits
 
-    def _forward_arrays(self, ids, lengths):
-        """The forward of `forward_batch` on plain arrays: each op's numpy
-        arithmetic, with the B x L positions folded into rows so that every
-        projection is one GEMM, and residual and bias adds made in place.
-        The attention mask is built only when some key is banned."""
-        cfg = self.cfg
-        pm = {name: p.data for name, p in self.params.items()}
-        b, l = ids.shape
-        d = cfg.d_model
+    def _banned_keys(self, lengths, l):
+        """The attention mask of a (B, L) batch: a bool array broadcastable
+        to (B, 1, L, L), True where a query may not attend to a key. Keys
+        after the query are banned under the causal mask, and pad keys past
+        a sequence's length always. None when no key is banned."""
         pos = np.arange(l)
         banned = None
-        if cfg.mask_mode == CAUSAL:
+        if self.cfg.mask_mode == CAUSAL:
             banned = pos[None, :] > pos[:, None]                   # keys after the query
         if (lengths < l).any():
             pad = (pos >= lengths[:, None])[:, None, None, :]      # (B, 1, 1, L)
             banned = pad if banned is None else pad | banned
+        return banned
+
+    def _forward_arrays(self, ids, banned):
+        """The forward of `forward_batch` on plain arrays: each op's numpy
+        arithmetic, with the B x L positions folded into rows so that every
+        projection is one GEMM, and residual and bias adds made in place."""
+        cfg = self.cfg
+        pm = {name: p.data for name, p in self.params.items()}
+        b, l = ids.shape
+        d = cfg.d_model
 
         def affine(h, w, bias):  # h @ w + bias on (rows, .) arrays
             out = h @ pm[w]

@@ -79,7 +79,6 @@ class QuantizedModel:
 
     def dequantized_model(self) -> EncoderModel:
         if self._dequantized is None:
-            params = {}
             model = EncoderModel(self.cfg)
             for name, p in model.params.items():
                 if name in self.blocks:
@@ -87,7 +86,6 @@ class QuantizedModel:
                     p.data = _dequantize_array(codes, scales, shape)
                 else:
                     p.data = self.fp_params[name].copy()
-                params[name] = p
             self._dequantized = model
         return self._dequantized
 

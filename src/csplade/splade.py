@@ -16,9 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-PLAIN_RELU = "plain_relu"
-REPARAM_RELU = "reparam_relu"
-
 WEIGHT_FLOOR = 1e-6  # pooled entries at or below this are dropped as float noise
 
 
@@ -78,19 +75,18 @@ class LossBreakdown:
         return cls(rank_loss, flops_q, flops_d, lambda_q, lambda_d, total)
 
 
-def log_saturate(logits, mode=PLAIN_RELU):
-    """log(1 + relu(x)) on a tensor; mode only changes the backward path."""
-    act = ad.relu if mode == PLAIN_RELU else ad.reparam_relu
-    return ad.log1p(act(logits))
+def log_saturate(logits):
+    """log(1 + relu(x)) on a tensor."""
+    return ad.log1p(ad.relu(logits))
 
 
-def pool_reps(logits: Tensor, span_mask: np.ndarray, mode=PLAIN_RELU) -> Tensor:
+def pool_reps(logits: Tensor, span_mask: np.ndarray) -> Tensor:
     """Differentiable pooling: (B, L, V) logits + (B, L) span mask -> (B, V)."""
     span_mask = np.asarray(span_mask, dtype=bool)
     if not span_mask.any(axis=1).all():
         raise ValueError("pool_reps: every sequence needs a non-empty content span")
     masked = ad.masked_fill(logits, ~span_mask[:, :, None], -1e30)
-    return log_saturate(ad.max_over_axis(masked, axis=1), mode)
+    return log_saturate(ad.max_over_axis(masked, axis=1))
 
 
 def splade_pool(logits: np.ndarray, content_span) -> SparseRep:

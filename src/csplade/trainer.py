@@ -19,9 +19,8 @@ from .autodiff import Tensor
 from .corpus import Vocabulary, tokenize
 from .encoder import (BIDIRECTIONAL, CAUSAL, PAD_ID, EncoderModel,
                       TokenSequence, echo_expand)
-from .splade import (PLAIN_RELU, WEIGHT_FLOOR, LossBreakdown, SparseRep,
-                     adaptation_loss_batch, flops_reg_t, pool_reps,
-                     splade_pool)
+from .splade import (WEIGHT_FLOOR, LossBreakdown, adaptation_loss_batch,
+                     flops_reg_t, pool_reps, splade_pool)
 
 # Largest global L2 norm of the parameter gradients in a contrastive step.
 # Unclipped, InfoNCE over ~200 active terms saturates early and the norm
@@ -68,9 +67,6 @@ class ContrastiveConfig:
     warmup_fraction: float = 0.05
     lambda_q: float = 0.003
     lambda_d: float = 0.003
-    mask_mode: str = CAUSAL
-    echo_mode: bool = False
-    activation_mode: str = PLAIN_RELU
     seed: int = 0
 
     def __post_init__(self):
@@ -239,36 +235,33 @@ def prepare_sequence(text, vocab, model_cfg, echo_mode):
     return tokenize(text, vocab, max_len=model_cfg.max_seq_len)
 
 
-def encode_reps_tensor(model, seqs, activation_mode=PLAIN_RELU):
+def encode_reps_tensor(model, seqs):
     """Differentiable batch encode: sequences -> pooled (B, V) reps."""
     ids, lengths, span_mask = pack_sequences(seqs)
     logits = model.forward_batch(ids, lengths)
-    return pool_reps(logits, span_mask, activation_mode)
+    return pool_reps(logits, span_mask)
 
 
-def encode_texts(model, vocab, texts, echo_mode=False):
-    """Inference path: raw texts -> list of SparseRep, building no graph."""
+def encode_texts(model, vocab, texts):
+    """Inference path: raw texts -> list of SparseRep, building no graph.
+    Texts are echo-expanded when the model's config says so."""
     reps = []
     with ad.no_grad():
         for text in texts:
-            seq = prepare_sequence(text, vocab, model.cfg, echo_mode)
+            seq = prepare_sequence(text, vocab, model.cfg, model.cfg.echo_mode)
             reps.append(splade_pool(model.forward_logits(seq), seq.span))
     return reps
 
 
-def empty_rep_fraction(reps, sample_size=None) -> float:
+def empty_rep_fraction(reps) -> float:
     """Fraction of representations with an empty support."""
     if isinstance(reps, Tensor):
-        dense = reps.data
-        empty = (dense > WEIGHT_FLOOR).sum(axis=1) == 0
-        pool = empty
+        empty = (reps.data > WEIGHT_FLOOR).sum(axis=1) == 0
     else:
         if not reps:
             raise ValueError("empty_rep_fraction: empty batch")
-        pool = np.array([rep.nnz == 0 for rep in reps])
-    if sample_size is not None:
-        pool = pool[:sample_size]
-    return float(pool.mean())
+        empty = np.array([rep.nnz == 0 for rep in reps])
+    return float(empty.mean())
 
 
 def dead_dim_fraction(reps) -> float:
@@ -332,8 +325,9 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
                     vocab: Vocabulary, cfg: ContrastiveConfig, on_step=None):
     """Contrastive phase: hard negatives plus all other in-batch documents.
 
-    Before each optimizer step the parameter gradients are scaled so that
-    their global L2 norm is at most GRAD_CLIP_NORM (Pascanu et al. 2013).
+    Texts are echo-expanded when the model's config says so. Before each
+    optimizer step the parameter gradients are scaled so that their global
+    L2 norm is at most GRAD_CLIP_NORM (Pascanu et al. 2013).
     """
     for t in triples:
         if not t["positive_ids"]:
@@ -351,7 +345,7 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
     def seq_for(text_map, key):
         if key not in seq_cache:
             seq_cache[key] = prepare_sequence(text_map[key[1]], vocab, model.cfg,
-                                              cfg.echo_mode)
+                                              model.cfg.echo_mode)
         return seq_cache[key]
 
     for _ in range(cfg.epochs):
@@ -375,8 +369,8 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
             t0 = time.perf_counter()
             optimizer.zero_grad()
             docs_per_query = len(d_seqs) // len(q_seqs)
-            q_reps = encode_reps_tensor(model, q_seqs, cfg.activation_mode)
-            d_reps = encode_reps_tensor(model, d_seqs, cfg.activation_mode)
+            q_reps = encode_reps_tensor(model, q_seqs)
+            d_reps = encode_reps_tensor(model, d_seqs)
             positives = np.arange(len(q_seqs)) * docs_per_query
             rank = splade.rank_loss_t(q_reps, d_reps, positives)
             fq = flops_reg_t(q_reps)

@@ -34,14 +34,12 @@ def tiny_model():
     return EncoderModel(cfg)
 
 
-def evaluate_mrr(model, data, k=10, echo_mode=False):
+def evaluate_mrr(model, data, k=10):
     """Encode the benchmark, retrieve top-k, and return mean MRR@k."""
-    reps = encode_texts(model, data["vocab"], data["corpus"].values(),
-                        echo_mode=echo_mode)
+    reps = encode_texts(model, data["vocab"], data["corpus"].values())
     idx = build_index(list(zip(data["corpus"].keys(), reps)), bits=0)
     run = {}
-    qreps = encode_texts(model, data["vocab"], data["queries"].values(),
-                         echo_mode=echo_mode)
+    qreps = encode_texts(model, data["vocab"], data["queries"].values())
     for qid, rep in zip(data["queries"].keys(), qreps):
         run[qid] = search(idx, rep, k).ranking() if rep.nnz else []
     return mrr_at_k(run, data["qrels"], k)[1]

@@ -54,8 +54,7 @@ def adapted(synth, tmp_path_factory):
 
 def _train(adapted_path, synth, lambda_d):
     cfg = ContrastiveConfig(epochs=50, lr=3e-3, lambda_q=0.003,
-                            lambda_d=lambda_d, mask_mode=BIDIRECTIONAL,
-                            seed=SEED)
+                            lambda_d=lambda_d, seed=SEED)
     model, report_ = run_contrastive(
         EncoderModel.load(adapted_path), synth["triples"], synth["corpus"],
         synth["queries"], synth["vocab"], cfg)
@@ -193,7 +192,7 @@ def test_ac3_dying_relu_reproduction_and_cure(capsys, synth):
     _, train_report = run_contrastive(
         model, synth["triples"], synth["corpus"], synth["queries"], vocab,
         ContrastiveConfig(epochs=8, lr=3e-3, lambda_q=0.003, lambda_d=0.003,
-                          mask_mode=BIDIRECTIONAL, seed=SEED))
+                          seed=SEED))
     first = train_report.total[0]
     best_100 = min(train_report.total[:100])
     decrease = (first - best_100) / first
@@ -271,8 +270,7 @@ def test_ac5_variant_mechanics(capsys, synth):
         _, rep = run_contrastive(
             model, synth["triples"][:32], synth["corpus"], synth["queries"],
             synth["vocab"],
-            ContrastiveConfig(epochs=1, lr=1e-3, mask_mode=mask_mode,
-                              echo_mode=echo_mode, seed=SEED))
+            ContrastiveConfig(epochs=1, lr=1e-3, seed=SEED))
         finite &= all(math.isfinite(v) for v in rep.total)
 
     ok = barrier and echo_hits == 10 and bi_hits == 10 and finite

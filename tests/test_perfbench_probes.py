@@ -74,9 +74,9 @@ def probed():
     assert all(after[key] is value for key, value in before.items())
 
 
-def _model(vocab, mask_mode=CAUSAL):
+def _model(vocab, mask_mode=CAUSAL, echo_mode=False):
     cfg = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
-                        max_seq_len=16, mask_mode=mask_mode, seed=2)
+                        max_seq_len=16, mask_mode=mask_mode, echo_mode=echo_mode, seed=2)
     return EncoderModel(cfg)
 
 
@@ -113,8 +113,8 @@ def test_encode_texts_pools_once_per_text(probed, echo_mode):
     trace counts tokens in forward_batch and calls of forward_logits."""
     cs, tracer = probed.cs, probed.tracer
     vocab = build_vocab(TEXTS)
-    model = _model(vocab)
-    reps = cs.trainer.encode_texts(model, vocab, TEXTS, echo_mode=echo_mode)
+    model = _model(vocab, echo_mode=echo_mode)
+    reps = cs.trainer.encode_texts(model, vocab, TEXTS)
     assert len(reps) == len(TEXTS)
     assert probed.docs.calls == len(TEXTS)
     assert _calls(tracer, "splade.splade_pool") == len(TEXTS)

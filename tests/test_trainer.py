@@ -25,9 +25,9 @@ def small_data():
     return corpus, queries, qrels, triples, vocab
 
 
-def small_model(vocab, mask_mode=BIDIRECTIONAL, seed=0):
-    cfg = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
-                        n_heads=2, max_seq_len=32, mask_mode=mask_mode, seed=seed)
+def small_model(vocab, mask_mode=BIDIRECTIONAL, seed=0, echo_mode=False):
+    cfg = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
+                        max_seq_len=32, mask_mode=mask_mode, echo_mode=echo_mode, seed=seed)
     return EncoderModel(cfg)
 
 
@@ -86,7 +86,6 @@ class TestHelpers:
         assert empty_rep_fraction([empty] * 3) == 1.0
         assert empty_rep_fraction([full] * 3) == 0.0
         assert empty_rep_fraction([empty] * 3 + [full] * 7) == pytest.approx(0.3)
-        assert empty_rep_fraction([empty, full, full, full], sample_size=2) == 0.5
         with pytest.raises(ValueError):
             empty_rep_fraction([])
 
@@ -155,6 +154,25 @@ class TestEncodeTexts:
             assert logits_out[-1].requires_grad  # grad mode did build a graph
             assert graph.term_ids.tobytes() == rep.term_ids.tobytes()
             assert graph.weights.tobytes() == rep.weights.tobytes()
+
+    def test_echo_model_pools_echo_sequences(self, small_data):
+        """The model's config alone decides echo input: an echo model's reps
+        are the pooled reps of the echo-expanded sequences."""
+        corpus, *_, vocab = small_data
+        model = small_model(vocab, mask_mode=CAUSAL, echo_mode=True)
+        texts = list(corpus.values())[:5]
+        reps = trainer.encode_texts(model, vocab, texts)
+        differs = False
+        for text, rep in zip(texts, reps):
+            pooled = {}
+            for echo in (True, False):
+                seq = prepare_sequence(text, vocab, model.cfg, echo)
+                pooled[echo] = trainer.encode_reps_tensor(model, [seq]).data[0]
+            keep = np.flatnonzero(pooled[True] > trainer.WEIGHT_FLOOR)
+            assert rep.term_ids.tolist() == keep.tolist()
+            assert rep.weights.tobytes() == pooled[True][keep].tobytes()
+            differs |= pooled[True].tobytes() != pooled[False].tobytes()
+        assert differs  # echo input changes the reps, so the check has teeth
 
 
 class TestTrainReport:
@@ -269,8 +287,7 @@ class TestContrastive:
 
         monkeypatch.setattr(trainer.splade, "rank_loss_t", spy)
         cfg = ContrastiveConfig(epochs=1, global_batch_size=2,
-                                hard_negatives_per_positive=1,
-                                mask_mode=BIDIRECTIONAL, seed=0)
+                                hard_negatives_per_positive=1, seed=0)
         run_contrastive(small_model(vocab), triples[:2], corpus, queries, vocab, cfg)
         (qb, _), (db, _), positives = captured["shape"]
         assert qb == 2 and db == 4  # 1 positive + 3 negatives per query
@@ -278,8 +295,7 @@ class TestContrastive:
 
     def test_lambda_zero_total_is_rank_loss(self, small_data):
         corpus, queries, _, triples, vocab = small_data
-        cfg = ContrastiveConfig(epochs=1, lambda_q=0.0, lambda_d=0.0,
-                                mask_mode=BIDIRECTIONAL, seed=0)
+        cfg = ContrastiveConfig(epochs=1, lambda_q=0.0, lambda_d=0.0, seed=0)
         _, report = run_contrastive(small_model(vocab), triples, corpus,
                                     queries, vocab, cfg)
         for total, rank in zip(report.total, report.rank_loss):
@@ -287,7 +303,7 @@ class TestContrastive:
 
     def test_deterministic_final_parameters(self, small_data):
         corpus, queries, _, triples, vocab = small_data
-        cfg = ContrastiveConfig(epochs=1, mask_mode=BIDIRECTIONAL, seed=3)
+        cfg = ContrastiveConfig(epochs=1, seed=3)
         outs = []
         for _ in range(2):
             m, _ = run_contrastive(small_model(vocab, seed=1), triples, corpus,
@@ -295,6 +311,27 @@ class TestContrastive:
             outs.append({k: p.data.copy() for k, p in m.params.items()})
         for k in outs[0]:
             np.testing.assert_array_equal(outs[0][k], outs[1][k])
+
+    def test_echo_model_trains_on_echo_sequences(self, small_data, monkeypatch):
+        """run_contrastive takes echo input from the model's config: with a
+        default ContrastiveConfig, every row that forward_batch sees is the
+        echo sequence of a query or document."""
+        corpus, queries, _, triples, vocab = small_data
+        model = small_model(vocab, mask_mode=CAUSAL, echo_mode=True)
+        rows = []
+        original = model.forward_batch
+
+        def spy(ids, lengths):
+            rows.extend(tuple(r[:n]) for r, n in zip(ids.tolist(), lengths.tolist()))
+            return original(ids, lengths)
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        run_contrastive(model, triples, corpus, queries, vocab, ContrastiveConfig(epochs=1))
+        echo = {tuple(prepare_sequence(t, vocab, model.cfg, True).ids.tolist())
+                for t in [*queries.values(), *corpus.values()]}
+        # one query, one positive and up to 3 hard negatives per triple
+        assert len(rows) == sum(2 + min(3, len(t["negative_ids"])) for t in triples)
+        assert set(rows) <= echo
 
     def test_missing_positive_rejected(self, small_data):
         corpus, queries, _, _, vocab = small_data
@@ -307,7 +344,7 @@ class TestContrastive:
         corpus, queries, _, triples, vocab = small_data
         model = small_model(vocab)
         model.apply_logit_offset(-50.0)  # guarantees empty representations
-        cfg = ContrastiveConfig(epochs=1, mask_mode=BIDIRECTIONAL, seed=0)
+        cfg = ContrastiveConfig(epochs=1, seed=0)
         with pytest.warns(RuntimeWarning, match="empty_rep_fraction"):
             run_contrastive(model, triples, corpus, queries, vocab, cfg)
 
@@ -329,7 +366,7 @@ class TestContrastive:
             grads = [p.grad for p in model.params.values() if p.grad is not None]
             post_clip.append(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
 
-        cfg = ContrastiveConfig(epochs=1, mask_mode=BIDIRECTIONAL, seed=0)
+        cfg = ContrastiveConfig(epochs=1, seed=0)
         run_contrastive(model, triples, corpus, queries, vocab, cfg, on_step=on_step)
         assert post_clip and len(pre_clip) == len(post_clip)
         assert max(pre_clip) > trainer.GRAD_CLIP_NORM  # clipping was exercised
@@ -348,7 +385,7 @@ class TestContrastive:
                            AdaptConfig(steps=3, warmup_steps=1, seq_len=16, seed=4))
             model.cfg.mask_mode = BIDIRECTIONAL
             run_contrastive(model, triples, corpus, queries, vocab,
-                            ContrastiveConfig(epochs=1, mask_mode=BIDIRECTIONAL, seed=4))
+                            ContrastiveConfig(epochs=1, seed=4))
             return {k: p.data.tobytes() for k, p in model.params.items()}
 
         fused = train()
