@@ -22,8 +22,10 @@ import numpy as np
 
 from . import __version__, corpus as corpus_mod, evalkit, index as index_mod
 from . import quant, splade, trainer
-from .encoder import EncoderConfig, EncoderModel
-from .trainer import VARIANTS, AdaptConfig, ContrastiveConfig
+from .corpus import SynthSpec
+from .encoder import VARIANTS, EncoderConfig, EncoderModel
+from .quant import QuantConfig
+from .trainer import AdaptConfig, ContrastiveConfig
 
 
 # arguments that name a file a subcommand reads
@@ -71,28 +73,24 @@ def write_manifest(path, subcommand, args, outputs):
 
 
 def _variant_of(args, model, retrain=False):
-    """Resolve --variant against the checkpoint's stored mode, which is the
-    only mode the library reads.
+    """Resolve --variant against the checkpoint's stored variant, which is
+    the only mode the library reads.
 
-    Without --variant the checkpoint's mode is used (and recorded in args).
-    An explicit --variant may switch `model.cfg` to another mode only when
+    Without --variant the checkpoint's variant is used (and recorded in
+    args). An explicit --variant may switch `model.cfg.variant` only when
     `retrain` is set; an inference subcommand rejects a mismatch instead of
     silently running the model in a mode it was not trained in.
     """
-    stored = (model.cfg.mask_mode, model.cfg.echo_mode)
-    stored_name = next((name for name, modes in VARIANTS.items() if modes == stored),
-                       f"{stored[0]}{'+echo' if stored[1] else ''}")
     if args.variant is None:
-        args.variant = stored_name
-        return
-    if VARIANTS[args.variant] != stored and not retrain:
+        args.variant = model.cfg.variant
+    elif args.variant != model.cfg.variant and not retrain:
         raise ValueError(f"--variant {args.variant} conflicts with the checkpoint's "
-                         f"mode {stored_name}; omit --variant to use it")
-    model.cfg.mask_mode, model.cfg.echo_mode = VARIANTS[args.variant]
+                         f"mode {model.cfg.variant}; omit --variant to use it")
+    model.cfg.variant = args.variant
 
 
 def cmd_synth(args):
-    spec = corpus_mod.SynthSpec(
+    spec = SynthSpec(
         n_docs=args.docs, n_queries=args.queries,
         base_vocab_size=args.base_vocab, n_synonym_pairs=args.synonym_pairs,
         doc_len_range=(args.doc_len_min, args.doc_len_max),
@@ -122,12 +120,11 @@ def cmd_adapt(args):
         model = EncoderModel.load(args.model)
         _variant_of(args, model, retrain=True)
     else:
-        args.variant = args.variant or "causal"
-        mask_mode, echo_mode = VARIANTS[args.variant]
+        args.variant = args.variant or EncoderConfig.variant
         cfg = EncoderConfig(vocab_size=vocab.size, d_model=args.d_model,
                             n_layers=args.layers, n_heads=args.heads,
-                            max_seq_len=args.max_seq_len, mask_mode=mask_mode,
-                            echo_mode=echo_mode, seed=args.seed)
+                            max_seq_len=args.max_seq_len, variant=args.variant,
+                            seed=args.seed)
         model = EncoderModel(cfg)
     cfg = AdaptConfig(steps=args.steps, batch_size=args.batch, seq_len=args.seq_len,
                       lr=args.lr, warmup_steps=args.warmup,
@@ -224,13 +221,13 @@ def cmd_bench(args):
     vocab = corpus_mod.Vocabulary.load(args.vocab)
     _variant_of(args, model)
     queries = corpus_mod.load_queries(args.queries)
-    seqs = [trainer.prepare_sequence(t, vocab, model.cfg, model.cfg.echo_mode)
+    seqs = [trainer.prepare_sequence(t, vocab, model.cfg, model.cfg.variant == "echo")
             for t in queries.values()]
     configs = [
         ("fp32", None),
-        ("int8", quant.QuantConfig(bits=8, granularity=quant.PER_CHANNEL)),
-        ("int4", quant.QuantConfig(bits=4, granularity=quant.GROUPWISE,
-                                   group_size=args.group_size)),
+        ("int8", QuantConfig(bits=8, granularity=quant.PER_CHANNEL)),
+        ("int4", QuantConfig(bits=4, granularity=quant.GROUPWISE,
+                             group_size=args.group_size)),
     ]
     rows = [quant.CSV_HEADER]
     for name, qcfg in configs:
@@ -247,7 +244,7 @@ def cmd_bench(args):
 
 
 def _add_variant(p, default="the checkpoint's mode"):
-    p.add_argument("--variant", choices=sorted(VARIANTS), default=None,
+    p.add_argument("--variant", choices=VARIANTS, default=None,
                    help=f"attention/input variant: causal, echo or bi (default: {default})")
 
 
@@ -256,15 +253,16 @@ def build_parser():
                                      description="desk-scale learned sparse retrieval")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # every default below is read from the dataclass the option fills
     p = sub.add_parser("synth", help="generate the synthetic mismatch benchmark")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--docs", type=int, default=1000)
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--base-vocab", type=int, default=120)
-    p.add_argument("--synonym-pairs", type=int, default=40)
-    p.add_argument("--doc-len-min", type=int, default=8)
-    p.add_argument("--doc-len-max", type=int, default=16)
-    p.add_argument("--hard-negs", type=int, default=8)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p.add_argument("--docs", type=int, default=SynthSpec.n_docs)
+    p.add_argument("--queries", type=int, default=SynthSpec.n_queries)
+    p.add_argument("--base-vocab", type=int, default=SynthSpec.base_vocab_size)
+    p.add_argument("--synonym-pairs", type=int, default=SynthSpec.n_synonym_pairs)
+    p.add_argument("--doc-len-min", type=int, default=SynthSpec.doc_len_range[0])
+    p.add_argument("--doc-len-max", type=int, default=SynthSpec.doc_len_range[1])
+    p.add_argument("--hard-negs", type=int, default=SynthSpec.hard_negatives_per_query)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -274,17 +272,18 @@ def build_parser():
     p.add_argument("--vocab", help="existing vocabulary file to reuse")
     p.add_argument("--vocab-out", help="where to write the vocabulary (default <out>.vocab.txt)")
     p.add_argument("--vocab-size", type=int, default=None)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--max-seq-len", type=int, default=64)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--seq-len", type=int, default=128)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--warmup", type=int, default=20)
-    p.add_argument("--lambda-relu", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--d-model", type=int, default=EncoderConfig.d_model)
+    p.add_argument("--layers", type=int, default=EncoderConfig.n_layers)
+    p.add_argument("--heads", type=int, default=EncoderConfig.n_heads)
+    p.add_argument("--max-seq-len", type=int, default=EncoderConfig.max_seq_len)
+    p.add_argument("--steps", type=int, default=AdaptConfig.steps)
+    p.add_argument("--batch", type=int, default=AdaptConfig.batch_size)
+    p.add_argument("--seq-len", type=int, default=AdaptConfig.seq_len)
+    p.add_argument("--lr", type=float, default=AdaptConfig.lr)
+    p.add_argument("--warmup", type=int, default=AdaptConfig.warmup_steps)
+    p.add_argument("--lambda-relu", type=float, default=AdaptConfig.lambda_relu)
+    p.add_argument("--seed", type=int, default=AdaptConfig.seed,
+                   help="seeds both the encoder's init and the adaptation batches")
     p.add_argument("--report")
     p.add_argument("--out", required=True)
     _add_variant(p, "the --model checkpoint's mode, else causal")
@@ -296,14 +295,14 @@ def build_parser():
     p.add_argument("--triples", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--hard-negs", type=int, default=3)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--warmup-fraction", type=float, default=0.05)
-    p.add_argument("--lambda-q", type=float, default=0.003)
-    p.add_argument("--lambda-d", type=float, default=0.003)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=ContrastiveConfig.epochs)
+    p.add_argument("--batch", type=int, default=ContrastiveConfig.global_batch_size)
+    p.add_argument("--hard-negs", type=int, default=ContrastiveConfig.hard_negatives_per_positive)
+    p.add_argument("--lr", type=float, default=ContrastiveConfig.lr)
+    p.add_argument("--warmup-fraction", type=float, default=ContrastiveConfig.warmup_fraction)
+    p.add_argument("--lambda-q", type=float, default=ContrastiveConfig.lambda_q)
+    p.add_argument("--lambda-d", type=float, default=ContrastiveConfig.lambda_d)
+    p.add_argument("--seed", type=int, default=ContrastiveConfig.seed)
     p.add_argument("--report")
     p.add_argument("--out", required=True)
     _add_variant(p)
@@ -350,7 +349,7 @@ def build_parser():
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--iters", type=int, default=30)
-    p.add_argument("--group-size", type=int, default=32)
+    p.add_argument("--group-size", type=int, default=QuantConfig.group_size)
     p.add_argument("--out", required=True)
     _add_variant(p)
     p.set_defaults(func=cmd_bench)

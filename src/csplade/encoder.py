@@ -1,8 +1,9 @@
 """Toy decoder-only transformer with switchable attention masking.
 
 Produces per-position vocabulary logits through a weight-tied LM head.
-The causal/bidirectional mask switch and the echo-input expansion are
-the two mechanisms that control how much right-context a position sees.
+The config's variant (causal, echo or bi) controls how much right-context
+a position sees: echo input and dropping the causal mask are the two
+mechanisms that give it some.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ EOS_ID = 2
 UNK_ID = 3
 SEP_ID = BOS_ID  # separator between echo occurrences reuses BOS
 
-CAUSAL = "causal"
-BIDIRECTIONAL = "bidirectional"
+# causal: the causal mask; echo: the causal mask over echo-expanded input;
+# bi: no mask, every position attends to every other
+VARIANTS = ("causal", "echo", "bi")
 
 CHECKPOINT_MAGIC = b"CSPL1"
 
@@ -38,8 +40,7 @@ class EncoderConfig:
     n_layers: int = 2
     n_heads: int = 4
     max_seq_len: int = 64
-    mask_mode: str = CAUSAL
-    echo_mode: bool = False
+    variant: str = "causal"
     seed: int = 0
 
     def __post_init__(self):
@@ -47,10 +48,10 @@ class EncoderConfig:
             raise ValueError("vocab_size must be >= 4 (PAD/BOS/EOS/UNK reserved)")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if self.mask_mode not in (CAUSAL, BIDIRECTIONAL):
-            raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
-        if self.echo_mode and self.max_seq_len < 2:
-            raise ValueError("echo_mode needs max_seq_len >= 2")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.variant == "echo" and self.max_seq_len < 2:
+            raise ValueError("the echo variant needs max_seq_len >= 2")
 
     def to_text(self):
         lines = []
@@ -71,19 +72,7 @@ class EncoderConfig:
         for key in kv:
             if key not in names:
                 raise ValueError(f"encoder config has unknown key {key!r}")
-        if kv["echo_mode"] not in ("True", "False"):
-            raise ValueError(f"encoder config echo_mode must be True or False, "
-                             f"got {kv['echo_mode']!r}")
-        return cls(
-            vocab_size=int(kv["vocab_size"]),
-            d_model=int(kv["d_model"]),
-            n_layers=int(kv["n_layers"]),
-            n_heads=int(kv["n_heads"]),
-            max_seq_len=int(kv["max_seq_len"]),
-            mask_mode=kv["mask_mode"],
-            echo_mode=kv["echo_mode"] == "True",
-            seed=int(kv["seed"]),
-        )
+        return cls(**{k: v if k == "variant" else int(v) for k, v in kv.items()})
 
 
 @dataclass
@@ -216,11 +205,11 @@ class EncoderModel:
     def _banned_keys(self, lengths, l):
         """The attention mask of a (B, L) batch: a bool array broadcastable
         to (B, 1, L, L), True where a query may not attend to a key. Keys
-        after the query are banned under the causal mask, and pad keys past
-        a sequence's length always. None when no key is banned."""
+        after the query are banned unless the variant is bi, and pad keys
+        past a sequence's length always. None when no key is banned."""
         pos = np.arange(l)
         banned = None
-        if self.cfg.mask_mode == CAUSAL:
+        if self.cfg.variant != "bi":
             banned = pos[None, :] > pos[:, None]                   # keys after the query
         if (lengths < l).any():
             pad = (pos >= lengths[:, None])[:, None, None, :]      # (B, 1, 1, L)

@@ -15,7 +15,6 @@ import numpy as np
 from .autodiff import no_grad
 from .encoder import EncoderConfig, EncoderModel
 
-PER_TENSOR = "per-tensor"
 PER_CHANNEL = "per-channel"
 GROUPWISE = "group-wise"
 
@@ -29,7 +28,7 @@ class QuantConfig:
     def __post_init__(self):
         if self.bits not in (4, 8):
             raise ValueError("bits must be 4 or 8")
-        if self.granularity not in (PER_TENSOR, PER_CHANNEL, GROUPWISE):
+        if self.granularity not in (PER_CHANNEL, GROUPWISE):
             raise ValueError(f"unknown granularity {self.granularity!r}")
 
     def describe(self):
@@ -39,9 +38,7 @@ class QuantConfig:
 def _quantize_array(w, cfg: QuantConfig):
     """Returns (int8 codes, scales, group shape info)."""
     qmax = 2 ** (cfg.bits - 1) - 1
-    if cfg.granularity == PER_TENSOR:
-        groups = w.reshape(1, -1)
-    elif cfg.granularity == PER_CHANNEL:
+    if cfg.granularity == PER_CHANNEL:
         groups = w.reshape(w.shape[0], -1)
     else:
         if w.shape[-1] % cfg.group_size != 0:

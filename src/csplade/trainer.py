@@ -17,8 +17,7 @@ from . import autodiff as ad
 from . import splade
 from .autodiff import Tensor
 from .corpus import Vocabulary, tokenize
-from .encoder import (BIDIRECTIONAL, CAUSAL, PAD_ID, EncoderModel,
-                      TokenSequence, echo_expand)
+from .encoder import PAD_ID, EncoderModel, TokenSequence, echo_expand
 from .splade import (WEIGHT_FLOOR, LossBreakdown, adaptation_loss_batch,
                      flops_reg_t, pool_reps, splade_pool)
 
@@ -27,12 +26,6 @@ from .splade import (WEIGHT_FLOOR, LossBreakdown, adaptation_loss_batch,
 # runs from ~74 in the first steps to ~4 later, enough to collapse document
 # sparsity and make the trained quality depend on the seed.
 GRAD_CLIP_NORM = 1.0
-
-VARIANTS = {
-    "causal": (CAUSAL, False),
-    "echo": (CAUSAL, True),
-    "bi": (BIDIRECTIONAL, False),
-}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -226,9 +219,9 @@ def pack_sequences(seqs):
     return ids, lengths, span_mask
 
 
-def prepare_sequence(text, vocab, model_cfg, echo_mode):
+def prepare_sequence(text, vocab, model_cfg, echo):
     """Tokenize and optionally echo-expand to fit the model window."""
-    if echo_mode:
+    if echo:
         budget = (model_cfg.max_seq_len - 3) // 2 + 2  # room to repeat content
         seq = tokenize(text, vocab, max_len=budget)
         return echo_expand(seq, model_cfg.max_seq_len)
@@ -248,7 +241,7 @@ def encode_texts(model, vocab, texts):
     reps = []
     with ad.no_grad():
         for text in texts:
-            seq = prepare_sequence(text, vocab, model.cfg, model.cfg.echo_mode)
+            seq = prepare_sequence(text, vocab, model.cfg, model.cfg.variant == "echo")
             reps.append(splade_pool(model.forward_logits(seq), seq.span))
     return reps
 
@@ -322,7 +315,7 @@ def run_adaptation(model: EncoderModel, texts, vocab: Vocabulary, cfg: AdaptConf
 
 
 def run_contrastive(model: EncoderModel, triples, corpus, queries,
-                    vocab: Vocabulary, cfg: ContrastiveConfig, on_step=None):
+                    vocab: Vocabulary, cfg: ContrastiveConfig):
     """Contrastive phase: hard negatives plus all other in-batch documents.
 
     Texts are echo-expanded when the model's config says so. Before each
@@ -341,11 +334,11 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
     h = cfg.hard_negatives_per_positive
     step = 0
     seq_cache = {}
+    echo = model.cfg.variant == "echo"
 
     def seq_for(text_map, key):
         if key not in seq_cache:
-            seq_cache[key] = prepare_sequence(text_map[key[1]], vocab, model.cfg,
-                                              model.cfg.echo_mode)
+            seq_cache[key] = prepare_sequence(text_map[key[1]], vocab, model.cfg, echo)
         return seq_cache[key]
 
     for _ in range(cfg.epochs):
@@ -398,7 +391,5 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
                           dead_frac=dead, avg_nnz_q=_nnz_mean(q_reps),
                           avg_nnz_d=_nnz_mean(d_reps), lr=lr,
                           wall_clock=time.perf_counter() - t0)
-            if on_step is not None:
-                on_step(step, report)
             step += 1
     return model, report

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csplade.corpus import SynthSpec, build_vocab, synth_generate
-from csplade.encoder import BIDIRECTIONAL, EncoderConfig, EncoderModel
+from csplade.encoder import EncoderConfig, EncoderModel
 from csplade.evalkit import mrr_at_k
 from csplade.index import SearchResult, build_index, search
 from csplade.splade import SparseRep
@@ -30,7 +30,7 @@ def synth():
 def tiny_model():
     """Small untrained bidirectional model over a 30-token vocabulary."""
     cfg = EncoderConfig(vocab_size=30, d_model=16, n_layers=1, n_heads=2,
-                        max_seq_len=16, mask_mode=BIDIRECTIONAL, seed=3)
+                        max_seq_len=16, variant="bi", seed=3)
     return EncoderModel(cfg)
 
 

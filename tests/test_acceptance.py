@@ -13,8 +13,8 @@ from conftest import evaluate_mrr, random_sparse_rep
 from csplade import autodiff as ad
 from csplade.autodiff import Tensor, grad_check
 from csplade.corpus import build_vocab, tokenize
-from csplade.encoder import (BIDIRECTIONAL, BOS_ID, CAUSAL, EncoderConfig,
-                             EncoderModel, TokenSequence, echo_expand)
+from csplade.encoder import (BOS_ID, VARIANTS, EncoderConfig, EncoderModel,
+                             TokenSequence, echo_expand)
 from csplade.evalkit import (bm25_score, bm25_search, build_stats, mrr_at_k,
                              ndcg_at_k, recall_at_k)
 from csplade.index import (build_index, deserialize, index_size_bytes, search,
@@ -41,8 +41,7 @@ def report(capsys, line, ok):
 @pytest.fixture(scope="session")
 def adapted(synth, tmp_path_factory):
     """Healthy-init bi model after 200 adaptation steps on the benchmark text."""
-    cfg = EncoderConfig(vocab_size=synth["vocab"].size,
-                        mask_mode=BIDIRECTIONAL, seed=SEED)
+    cfg = EncoderConfig(vocab_size=synth["vocab"].size, variant="bi", seed=SEED)
     model, _ = run_adaptation(
         EncoderModel(cfg), synth["texts"], synth["vocab"],
         AdaptConfig(steps=200, batch_size=16, seq_len=32, lr=1e-2,
@@ -73,7 +72,7 @@ def trained(adapted, synth):
 
 def _micro_model_f64(seed):
     cfg = EncoderConfig(vocab_size=10, d_model=8, n_layers=1, n_heads=2,
-                        max_seq_len=8, mask_mode=BIDIRECTIONAL, seed=seed)
+                        max_seq_len=8, variant="bi", seed=seed)
     model = EncoderModel(cfg)
     for p in model.params.values():
         p.data = p.data.astype(np.float64)
@@ -163,7 +162,7 @@ def test_ac2_pooling_hand_values(capsys):
 
 def test_ac3_dying_relu_reproduction_and_cure(capsys, synth):
     vocab = synth["vocab"]
-    cfg = EncoderConfig(vocab_size=vocab.size, mask_mode=BIDIRECTIONAL, seed=SEED)
+    cfg = EncoderConfig(vocab_size=vocab.size, variant="bi", seed=SEED)
 
     # (a) adversarial negative-bias init: everything dead, update exactly zero
     model = EncoderModel(cfg)
@@ -212,7 +211,7 @@ def test_ac4_learned_expansion_beats_lexical(capsys, synth, trained):
     bm25_mrr = mrr_at_k(bm25_run, synth["qrels"], 10)[1]
 
     untrained = EncoderModel(EncoderConfig(vocab_size=synth["vocab"].size,
-                                           mask_mode=BIDIRECTIONAL, seed=SEED))
+                                           variant="bi", seed=SEED))
     untrained_mrr = evaluate_mrr(untrained, synth)
     trained_mrr = evaluate_mrr(trained["lambda_d=0.01"], synth)
     ok = (trained_mrr >= bm25_mrr + 0.3) and (trained_mrr >= untrained_mrr + 0.3)
@@ -229,7 +228,7 @@ def test_ac5_variant_mechanics(capsys, synth):
     for seed in range(3):
         m = EncoderModel(EncoderConfig(vocab_size=20, d_model=16, n_layers=1,
                                        n_heads=2, max_seq_len=16,
-                                       mask_mode=CAUSAL, seed=seed))
+                                       variant="causal", seed=seed))
         ids = np.array([BOS_ID, 5, 6, 7, 2])
         base = m.forward_logits(TokenSequence(ids, span=(1, 5)))
         mutated = ids.copy()
@@ -241,7 +240,7 @@ def test_ac5_variant_mechanics(capsys, synth):
     echo_hits = bi_hits = 0
     for seed in range(10):
         cfg = EncoderConfig(vocab_size=20, d_model=16, n_layers=1, n_heads=2,
-                            max_seq_len=16, mask_mode=CAUSAL, seed=seed)
+                            max_seq_len=16, variant="echo", seed=seed)
         m = EncoderModel(cfg)
         base_seq = echo_expand(TokenSequence([BOS_ID, 5, 6, 7, 2], span=(1, 5)), 16)
         pert_seq = echo_expand(TokenSequence([BOS_ID, 5, 6, 11, 2], span=(1, 5)), 16)
@@ -251,18 +250,16 @@ def test_ac5_variant_mechanics(capsys, synth):
             echo_hits += 1
         mb = EncoderModel(EncoderConfig(vocab_size=20, d_model=16, n_layers=1,
                                         n_heads=2, max_seq_len=16,
-                                        mask_mode=BIDIRECTIONAL, seed=seed))
+                                        variant="bi", seed=seed))
         a = mb.forward_logits(TokenSequence([BOS_ID, 5, 6, 7, 2], span=(1, 5)))
         b = mb.forward_logits(TokenSequence([BOS_ID, 5, 6, 11, 2], span=(1, 5)))
         if not np.array_equal(a[:, 1], b[:, 1]):
             bi_hits += 1
 
     # all three variants train without NaN after adaptation
-    from csplade.trainer import VARIANTS
     finite = True
-    for variant, (mask_mode, echo_mode) in VARIANTS.items():
-        cfg = EncoderConfig(vocab_size=synth["vocab"].size, mask_mode=mask_mode,
-                            echo_mode=echo_mode, seed=SEED)
+    for variant in VARIANTS:
+        cfg = EncoderConfig(vocab_size=synth["vocab"].size, variant=variant, seed=SEED)
         model = EncoderModel(cfg)
         model, _ = run_adaptation(model, synth["texts"], synth["vocab"],
                                   AdaptConfig(steps=30, batch_size=16, seq_len=24,

@@ -1,12 +1,17 @@
 """End-to-end CLI pipeline tests over a miniature dataset."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from csplade.cli import main
+from csplade.cli import build_parser, main
+from csplade.corpus import SynthSpec
+from csplade.encoder import EncoderConfig, EncoderModel
+from csplade.quant import QuantConfig
+from csplade.trainer import AdaptConfig, ContrastiveConfig
 
 
 def run_cli(*argv):
@@ -180,6 +185,15 @@ class TestVariantFromCheckpoint:
         assert "--variant causal conflicts with the checkpoint's mode bi" in err
         assert not out.exists()
 
+    def test_adapt_writes_variant_into_checkpoint(self, synth_dir, tmp_path):
+        model = tmp_path / "echo.ckpt"
+        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", 1,
+                       "--warmup", 0, "--seq-len", 16, "--d-model", 16, "--layers", 1,
+                       "--heads", 2, "--max-seq-len", 32, "--variant", "echo",
+                       "--vocab-out", tmp_path / "vocab.txt", "--out", model) == 0
+        assert b"\nvariant=echo\n" in model.read_bytes()
+        assert EncoderModel.load(model).cfg.variant == "echo"
+
     def test_train_keeps_checkpoint_mode_by_default(self, pipeline, tmp_path):
         work, data = pipeline
         out = tmp_path / "t.ckpt"
@@ -188,6 +202,42 @@ class TestVariantFromCheckpoint:
                        "--queries", data / "queries.tsv", "--epochs", 1, "--hard-negs", 1,
                        "--out", out) == 0
         assert out.read_bytes() == (work / "trained.ckpt").read_bytes()
+
+
+class TestParserDefaults:
+    """Each option's default is the default of the dataclass field it fills."""
+
+    REQUIRED = {"synth": (), "adapt": ("--corpus",),
+                "train": ("--model", "--vocab", "--triples", "--corpus", "--queries"),
+                "bench": ("--model", "--vocab", "--queries")}
+
+    @pytest.mark.parametrize("subcommand, cls, dests", [
+        ("synth", SynthSpec, {"seed": "seed", "docs": "n_docs", "queries": "n_queries",
+                              "base_vocab": "base_vocab_size",
+                              "synonym_pairs": "n_synonym_pairs",
+                              "hard_negs": "hard_negatives_per_query"}),
+        ("adapt", EncoderConfig, {"d_model": "d_model", "layers": "n_layers",
+                                  "heads": "n_heads", "max_seq_len": "max_seq_len",
+                                  "seed": "seed"}),
+        ("adapt", AdaptConfig, {"steps": "steps", "batch": "batch_size", "seq_len": "seq_len",
+                                "lr": "lr", "warmup": "warmup_steps",
+                                "lambda_relu": "lambda_relu", "seed": "seed"}),
+        ("train", ContrastiveConfig, {"epochs": "epochs", "batch": "global_batch_size",
+                                      "hard_negs": "hard_negatives_per_positive", "lr": "lr",
+                                      "warmup_fraction": "warmup_fraction",
+                                      "lambda_q": "lambda_q", "lambda_d": "lambda_d",
+                                      "seed": "seed"}),
+        ("bench", QuantConfig, {"group_size": "group_size"}),
+    ])
+    def test_defaults_match_dataclass(self, subcommand, cls, dests):
+        argv = [subcommand, "--out", "x"]
+        for flag in self.REQUIRED[subcommand]:
+            argv += [flag, "x"]
+        args = vars(build_parser().parse_args(argv))
+        field_defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert {d: args[d] for d in dests} == {d: field_defaults[f] for d, f in dests.items()}
+        if cls is SynthSpec:
+            assert (args["doc_len_min"], args["doc_len_max"]) == SynthSpec.doc_len_range
 
 
 class TestErrors:

@@ -1,18 +1,20 @@
 """Encoder tests: masking semantics, echo expansion, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
 from csplade import autodiff as ad
 from csplade.autodiff import ShapeError
-from csplade.encoder import (BIDIRECTIONAL, BOS_ID, CAUSAL, EOS_ID, PAD_ID,
-                             SEP_ID, EncoderConfig, EncoderModel,
-                             SequenceTooLongError, TokenSequence, echo_expand)
+from csplade.encoder import (BOS_ID, EOS_ID, PAD_ID, SEP_ID, VARIANTS,
+                             EncoderConfig, EncoderModel, SequenceTooLongError,
+                             TokenSequence, echo_expand)
 
 
-def make_model(mask_mode=CAUSAL, seed=0, vocab_size=20, **kw):
+def make_model(variant="causal", seed=0, vocab_size=20, **kw):
     cfg = EncoderConfig(vocab_size=vocab_size, d_model=16, n_layers=1,
-                        n_heads=2, max_seq_len=16, mask_mode=mask_mode,
+                        n_heads=2, max_seq_len=16, variant=variant,
                         seed=seed, **kw)
     return EncoderModel(cfg)
 
@@ -26,17 +28,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="vocab_size"):
             EncoderConfig(vocab_size=3)
 
-    def test_unknown_mask_mode(self):
-        with pytest.raises(ValueError, match="mask_mode"):
-            EncoderConfig(vocab_size=10, mask_mode="diagonal")
+    @pytest.mark.parametrize("variant", ["bidirectional", "causal+echo", "diagonal"])
+    def test_unknown_variant(self, variant):
+        with pytest.raises(ValueError, match=re.escape(f"unknown variant '{variant}'")):
+            EncoderConfig(vocab_size=10, variant=variant)
 
     def test_config_text_round_trip(self):
-        cfg = EncoderConfig(vocab_size=33, d_model=8, n_layers=3, n_heads=2,
-                            max_seq_len=24, mask_mode=BIDIRECTIONAL,
-                            echo_mode=True, seed=9)
-        assert EncoderConfig.from_text(cfg.to_text()) == cfg
+        for variant in VARIANTS:
+            cfg = EncoderConfig(vocab_size=33, d_model=8, n_layers=3, n_heads=2,
+                                max_seq_len=24, variant=variant, seed=9)
+            assert f"\nvariant={variant}\n" in cfg.to_text()
+            assert EncoderConfig.from_text(cfg.to_text()) == cfg
 
-    @pytest.mark.parametrize("key", ["vocab_size", "mask_mode", "seed"])
+    @pytest.mark.parametrize("key", ["vocab_size", "variant", "seed"])
     def test_missing_key_named(self, key):
         text = "".join(line + "\n" for line in EncoderConfig(vocab_size=33).to_text().splitlines()
                        if not line.startswith(key + "="))
@@ -48,18 +52,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key 'dropout'"):
             EncoderConfig.from_text(text)
 
-    @pytest.mark.parametrize("value", ["true", "1"])
-    def test_echo_mode_must_be_true_or_false(self, value):
-        text = EncoderConfig(vocab_size=33, echo_mode=True).to_text().replace(
-            "echo_mode=True", f"echo_mode={value}")
-        with pytest.raises(ValueError, match="echo_mode must be True or False"):
-            EncoderConfig.from_text(text)
-
 
 class TestForward:
     def test_single_token_shape(self):
-        for mode in (CAUSAL, BIDIRECTIONAL):
-            m = make_model(mode)
+        for variant in ("causal", "bi"):
+            m = make_model(variant)
             logits = m.forward_logits(TokenSequence([BOS_ID], span=(0, 1)))
             assert logits.shape == (20, 1)
 
@@ -72,7 +69,7 @@ class TestForward:
     def test_causal_information_barrier_exact(self):
         """Perturbing token j leaves every logit column < j bit-identical."""
         for seed in range(5):
-            m = make_model(CAUSAL, seed=seed)
+            m = make_model("causal", seed=seed)
             ids = np.array([BOS_ID, 5, 6, 7, EOS_ID])
             base = m.forward_logits(TokenSequence(ids, span=(1, 5)))
             for j in range(1, len(ids)):
@@ -85,7 +82,7 @@ class TestForward:
         """Over >= 10 random models, a late perturbation changes early logits."""
         hits = 0
         for seed in range(10):
-            m = make_model(BIDIRECTIONAL, seed=seed)
+            m = make_model("bi", seed=seed)
             ids = np.array([BOS_ID, 5, 6, 7, EOS_ID])
             base = m.forward_logits(TokenSequence(ids, span=(1, 5)))
             mutated = ids.copy()
@@ -97,8 +94,8 @@ class TestForward:
 
     def test_padding_never_contributes(self):
         """A padded batch row equals the unpadded single forward."""
-        for mode in (CAUSAL, BIDIRECTIONAL):
-            m = make_model(mode)
+        for variant in ("causal", "bi"):
+            m = make_model(variant)
             ids = np.array([BOS_ID, 5, 6, EOS_ID])
             single = m.forward_batch(ids[None, :], np.array([4])).data[0]
             padded = np.concatenate([ids, [PAD_ID, PAD_ID]])
@@ -108,7 +105,7 @@ class TestForward:
 
     def test_tied_lm_head(self):
         """Perturbing one embedding row shifts exactly that logit row."""
-        m = make_model(BIDIRECTIONAL)
+        m = make_model("bi")
         seq = TokenSequence([BOS_ID, 5, EOS_ID], span=(1, 3))
         base = m.forward_logits(seq)
         # token 7 is unused by the input, so only its LM-head column moves;
@@ -133,11 +130,11 @@ class TestForward:
         np.testing.assert_array_equal(a.forward_logits(seq), b.forward_logits(seq))
 
 
-def _perturbed_model(mask_mode, dtype):
+def _perturbed_model(variant, dtype):
     """Two layers, every parameter perturbed off its init (gains of one and
     zero biases would hide half the arithmetic), in float32 or float64."""
     cfg = EncoderConfig(vocab_size=20, d_model=16, n_layers=2, n_heads=2,
-                        max_seq_len=16, mask_mode=mask_mode, seed=1)
+                        max_seq_len=16, variant=variant, seed=1)
     m = EncoderModel(cfg)
     rng = np.random.default_rng(7)
     for p in m.params.values():
@@ -163,17 +160,14 @@ def _batches(variant, rng):
     return out
 
 
-VARIANTS = {"causal": CAUSAL, "echo": CAUSAL, "bi": BIDIRECTIONAL}
-
-
 class TestInferencePath:
     """Without a graph to record, forward_batch runs on plain arrays; its
     logits must be the graph path's bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_grad_bit_equal_to_graph(self, variant, dtype):
-        m = _perturbed_model(VARIANTS[variant], dtype)
+        m = _perturbed_model(variant, dtype)
         for ids, lengths in _batches(variant, np.random.default_rng(3)):
             graph = m.forward_batch(ids, lengths)
             assert graph.requires_grad
@@ -186,7 +180,7 @@ class TestInferencePath:
 
     def test_untracked_parameters_take_the_plain_path(self, monkeypatch):
         """No parameter requiring grad also records no graph."""
-        m = _perturbed_model(CAUSAL, np.float32)
+        m = _perturbed_model("causal", np.float32)
         ids, lengths = np.array([[BOS_ID, 5, 6, EOS_ID]]), np.array([4])
         graph = m.forward_batch(ids, lengths).data
         for p in m.params.values():
@@ -201,9 +195,9 @@ class TestInferencePath:
         (np.array([[BOS_ID, 5, EOS_ID], [BOS_ID, -3, PAD_ID]]), [3, 2], ShapeError,
          "ids out of range"),
     ])
-    @pytest.mark.parametrize("mask_mode", [CAUSAL, BIDIRECTIONAL])
-    def test_both_paths_raise_the_same_error(self, mask_mode, ids, lengths, error, match):
-        m = _perturbed_model(mask_mode, np.float32)
+    @pytest.mark.parametrize("variant", ["causal", "bi"], ids=["causal", "bidirectional"])
+    def test_both_paths_raise_the_same_error(self, variant, ids, lengths, error, match):
+        m = _perturbed_model(variant, np.float32)
         with pytest.raises(error, match=match) as graph:
             m.forward_batch(ids, np.array(lengths))
         with pytest.raises(error, match=match) as plain, ad.no_grad():
@@ -238,7 +232,7 @@ class TestEchoExpand:
         """Pooled-span columns of an early token react to a late token."""
         hits = 0
         for seed in range(10):
-            m = make_model(CAUSAL, seed=seed)
+            m = make_model("causal", seed=seed)
             base_seq = echo_expand(TokenSequence([BOS_ID, 5, 6, 7, EOS_ID], span=(1, 5)), 16)
             pert_seq = echo_expand(TokenSequence([BOS_ID, 5, 6, 11, EOS_ID], span=(1, 5)), 16)
             s, _ = base_seq.span
@@ -251,7 +245,7 @@ class TestEchoExpand:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        m = make_model(BIDIRECTIONAL, seed=7)
+        m = make_model("bi", seed=7)
         path = tmp_path / "m.ckpt"
         m.save(path)
         loaded = EncoderModel.load(path)
@@ -269,6 +263,18 @@ class TestCheckpoint:
         path = tmp_path / "head.ckpt"
         path.write_bytes(b"CSPL1\nvocab_size=5\n")
         with pytest.raises(ValueError, match=r"unterminated config block .*head\.ckpt"):
+            EncoderModel.load(path)
+
+    def test_two_field_mode_config_rejected(self, tmp_path):
+        """A config block that stores the mode as the older mask and echo
+        pair is not translated: loading names the missing variant key."""
+        path = tmp_path / "old.ckpt"
+        make_model("bi").save(path)
+        blob = path.read_bytes()
+        assert b"\nvariant=bi\n" in blob
+        path.write_bytes(blob.replace(b"\nvariant=bi\n",
+                                      b"\nmask_mode=bidirectional\necho_mode=False\n", 1))
+        with pytest.raises(ValueError, match="missing key 'variant'"):
             EncoderModel.load(path)
 
     def test_truncation_detected(self, tmp_path):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from csplade.corpus import build_vocab
-from csplade.encoder import CAUSAL, EncoderConfig, EncoderModel
+from csplade.encoder import EncoderConfig, EncoderModel
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -74,9 +74,9 @@ def probed():
     assert all(after[key] is value for key, value in before.items())
 
 
-def _model(vocab, mask_mode=CAUSAL, echo_mode=False):
+def _model(vocab, variant="causal"):
     cfg = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
-                        max_seq_len=16, mask_mode=mask_mode, echo_mode=echo_mode, seed=2)
+                        max_seq_len=16, variant=variant, seed=2)
     return EncoderModel(cfg)
 
 
@@ -107,20 +107,20 @@ def test_step_clock_times_each_adamw_step(probed):
     assert len(probed.steps.steps) == 2
 
 
-@pytest.mark.parametrize("echo_mode", [False, True])
-def test_encode_texts_pools_once_per_text(probed, echo_mode):
+@pytest.mark.parametrize("echo", [False, True])
+def test_encode_texts_pools_once_per_text(probed, echo):
     """The `ingest` clock counts one document per splade_pool return, and the
     trace counts tokens in forward_batch and calls of forward_logits."""
     cs, tracer = probed.cs, probed.tracer
     vocab = build_vocab(TEXTS)
-    model = _model(vocab, echo_mode=echo_mode)
+    model = _model(vocab, "echo" if echo else "causal")
     reps = cs.trainer.encode_texts(model, vocab, TEXTS)
     assert len(reps) == len(TEXTS)
     assert probed.docs.calls == len(TEXTS)
     assert _calls(tracer, "splade.splade_pool") == len(TEXTS)
     assert _calls(tracer, "encoder.forward_logits") == len(TEXTS)
     assert _calls(tracer, "encoder.forward_batch") == len(TEXTS)
-    seqs = [cs.trainer.prepare_sequence(t, vocab, model.cfg, echo_mode) for t in TEXTS]
+    seqs = [cs.trainer.prepare_sequence(t, vocab, model.cfg, echo) for t in TEXTS]
     assert tracer.counts["encoder.tokens"] == sum(s.length for s in seqs)
     # inference records no graph and calls no autodiff op
     ops = [name for name in tracer.names if name.startswith("autodiff.")]

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csplade.corpus import build_vocab, tokenize
-from csplade.encoder import BIDIRECTIONAL, EncoderConfig, EncoderModel
-from csplade.quant import (CSV_HEADER, GROUPWISE, PER_CHANNEL, PER_TENSOR,
-                           LatencyReport, QuantConfig, _dequantize_array,
-                           _quantize_array, bench_encode, quantize_weights)
+from csplade.encoder import EncoderConfig, EncoderModel
+from csplade.quant import (CSV_HEADER, GROUPWISE, PER_CHANNEL, LatencyReport,
+                           QuantConfig, _dequantize_array, _quantize_array,
+                           bench_encode, quantize_weights)
 
 
 def model_and_seq(seed=0):
     vocab = build_vocab(["alpha beta gamma delta epsilon"])
     cfg = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
-                        n_heads=2, max_seq_len=16, mask_mode=BIDIRECTIONAL,
-                        seed=seed)
+                        n_heads=2, max_seq_len=16, variant="bi", seed=seed)
     return EncoderModel(cfg), tokenize("alpha beta gamma", vocab)
 
 
@@ -39,7 +38,7 @@ class TestQuantizeArray:
     def test_representable_points_exact(self):
         scale = 0.05
         w = (scale * np.arange(-127, 128, dtype=np.float32)).reshape(1, -1)
-        codes, scales = _quantize_array(w, QuantConfig(bits=8, granularity=PER_TENSOR))
+        codes, scales = _quantize_array(w, QuantConfig(bits=8, granularity=PER_CHANNEL))
         np.testing.assert_allclose(_dequantize_array(codes, scales, w.shape), w,
                                    atol=1e-7)
 
@@ -71,7 +70,7 @@ class TestQuantizeArray:
 
     def test_zero_weights_quantize_to_zero(self):
         w = np.array([[0.0, 1.0, -1.0, 0.0]], dtype=np.float32)
-        codes, _ = _quantize_array(w, QuantConfig(bits=8, granularity=PER_TENSOR))
+        codes, _ = _quantize_array(w, QuantConfig(bits=8, granularity=PER_CHANNEL))
         assert codes[0, 0] == 0 and codes[0, 3] == 0
 
 

@@ -6,10 +6,9 @@ import pytest
 from csplade import autodiff as ad, trainer
 from csplade.autodiff import Tensor
 from csplade.corpus import SynthSpec, build_vocab, synth_generate, tokenize
-from csplade.encoder import (BIDIRECTIONAL, CAUSAL, BOS_ID, EncoderConfig,
-                             EncoderModel)
+from csplade.encoder import BOS_ID, EncoderConfig, EncoderModel
 from csplade.splade import SparseRep
-from csplade.trainer import (VARIANTS, AdamW, AdaptConfig, ContrastiveConfig,
+from csplade.trainer import (AdamW, AdaptConfig, ContrastiveConfig,
                              TrainingDivergedError, TrainReport, cosine_lr,
                              dead_dim_fraction, empty_rep_fraction,
                              pack_sequences, prepare_sequence,
@@ -25,9 +24,9 @@ def small_data():
     return corpus, queries, qrels, triples, vocab
 
 
-def small_model(vocab, mask_mode=BIDIRECTIONAL, seed=0, echo_mode=False):
+def small_model(vocab, variant="bi", seed=0):
     cfg = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
-                        max_seq_len=32, mask_mode=mask_mode, echo_mode=echo_mode, seed=seed)
+                        max_seq_len=32, variant=variant, seed=seed)
     return EncoderModel(cfg)
 
 
@@ -76,7 +75,7 @@ class TestHelpers:
         *_, vocab = small_data
         cfg = EncoderConfig(vocab_size=vocab.size, max_seq_len=16)
         long_text = " ".join(["qs0"] * 40)
-        seq = prepare_sequence(long_text, vocab, cfg, echo_mode=True)
+        seq = prepare_sequence(long_text, vocab, cfg, echo=True)
         assert seq.length <= 16
         assert seq.ids[0] == BOS_ID
 
@@ -159,7 +158,7 @@ class TestEncodeTexts:
         """The model's config alone decides echo input: an echo model's reps
         are the pooled reps of the echo-expanded sequences."""
         corpus, *_, vocab = small_data
-        model = small_model(vocab, mask_mode=CAUSAL, echo_mode=True)
+        model = small_model(vocab, variant="echo")
         texts = list(corpus.values())[:5]
         reps = trainer.encode_texts(model, vocab, texts)
         differs = False
@@ -317,7 +316,7 @@ class TestContrastive:
         default ContrastiveConfig, every row that forward_batch sees is the
         echo sequence of a query or document."""
         corpus, queries, _, triples, vocab = small_data
-        model = small_model(vocab, mask_mode=CAUSAL, echo_mode=True)
+        model = small_model(vocab, variant="echo")
         rows = []
         original = model.forward_batch
 
@@ -361,13 +360,16 @@ class TestContrastive:
 
         monkeypatch.setattr(trainer, "clip_grad_norm", spy)
         post_clip = []
+        original_step = trainer.AdamW.step
 
-        def on_step(step, report):
-            grads = [p.grad for p in model.params.values() if p.grad is not None]
+        def step_spy(self, lr):
+            grads = [p.grad for p in self.params.values() if p.grad is not None]
             post_clip.append(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
+            return original_step(self, lr)
 
+        monkeypatch.setattr(trainer.AdamW, "step", step_spy)
         cfg = ContrastiveConfig(epochs=1, seed=0)
-        run_contrastive(model, triples, corpus, queries, vocab, cfg, on_step=on_step)
+        run_contrastive(model, triples, corpus, queries, vocab, cfg)
         assert post_clip and len(pre_clip) == len(post_clip)
         assert max(pre_clip) > trainer.GRAD_CLIP_NORM  # clipping was exercised
         assert max(post_clip) <= trainer.GRAD_CLIP_NORM * (1 + 1e-5)
@@ -380,10 +382,10 @@ class TestContrastive:
         corpus, queries, _, triples, vocab = small_data
 
         def train():
-            model = small_model(vocab, mask_mode=CAUSAL, seed=4)
+            model = small_model(vocab, variant="causal", seed=4)
             run_adaptation(model, corpus.values(), vocab,
                            AdaptConfig(steps=3, warmup_steps=1, seq_len=16, seed=4))
-            model.cfg.mask_mode = BIDIRECTIONAL
+            model.cfg.variant = "bi"
             run_contrastive(model, triples, corpus, queries, vocab,
                             ContrastiveConfig(epochs=1, seed=4))
             return {k: p.data.tobytes() for k, p in model.params.items()}
@@ -392,11 +394,6 @@ class TestContrastive:
         monkeypatch.setattr(trainer.ad, "attention", attention_chain)
         monkeypatch.setattr(trainer.ad, "slice_axis", slice_by_matmul)
         assert train() == fused
-
-    def test_variant_table(self):
-        assert VARIANTS["causal"] == (CAUSAL, False)
-        assert VARIANTS["echo"] == (CAUSAL, True)
-        assert VARIANTS["bi"] == (BIDIRECTIONAL, False)
 
 
 class TestClipGradNorm:
