@@ -48,9 +48,14 @@ def input_hashes(args):
 
 
 def environment():
+    """Versions, the BLAS build, and the BLAS thread settings as the
+    process found them (None when unset; the code sets no thread count)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_count": os.cpu_count()}
 
 
 def write_manifest(path, subcommand, args, outputs):

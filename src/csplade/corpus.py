@@ -176,10 +176,21 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_queries < 1 or self.n_docs < self.n_queries:
             raise ValueError("need n_docs >= n_queries >= 1")
-        if self.n_synonym_pairs < max(self.slots_per_query):
-            raise ValueError("not enough synonym pairs for the requested slots per query")
-        if self.doc_len_range[0] < max(self.slots_per_query):
-            raise ValueError("docs too short to hold the synonym slots")
+        for name in ("doc_len_range", "slots_per_query"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must be (lo, hi) with 1 <= lo <= hi, got ({lo}, {hi})")
+        if self.hard_negatives_per_query < 0:
+            raise ValueError(f"hard_negatives_per_query must be >= 0, "
+                             f"got {self.hard_negatives_per_query}")
+        if self.base_vocab_size < 1:
+            raise ValueError(f"base_vocab_size must be >= 1, got {self.base_vocab_size}")
+        if self.n_synonym_pairs < self.slots_per_query[1]:
+            raise ValueError(f"n_synonym_pairs={self.n_synonym_pairs}: not enough synonym "
+                             f"pairs for slots_per_query={self.slots_per_query}")
+        if self.doc_len_range[0] < self.slots_per_query[1]:
+            raise ValueError(f"doc_len_range={self.doc_len_range}: docs too short to hold "
+                             f"slots_per_query={self.slots_per_query} synonym slots")
 
 
 def synth_generate(spec: SynthSpec):
@@ -190,7 +201,7 @@ def synth_generate(spec: SynthSpec):
     slot-word surface forms.
     """
     rng = np.random.default_rng(spec.seed)
-    fillers = [f"w{i}" for i in range(spec.base_vocab_size)]
+    fillers = np.array([f"w{i}" for i in range(spec.base_vocab_size)])
     q_words = [f"qs{i}" for i in range(spec.n_synonym_pairs)]
     d_words = [f"ds{i}" for i in range(spec.n_synonym_pairs)]
 
@@ -212,32 +223,39 @@ def synth_generate(spec: SynthSpec):
         slots = query_slots[qi]
         length = int(rng.integers(lo, hi + 1))
         words = [d_words[s] for s in slots]
-        words += list(rng.choice(fillers, size=max(0, length - len(words))))
+        words += rng.choice(fillers, size=max(0, length - len(words))).tolist()
         rng.shuffle(words)
         corpus[f"d{qi}"] = " ".join(words)
         qrels[f"q{qi}"] = {f"d{qi}": 1}
 
-    mixed_pool = fillers + d_words + q_words
+    mixed_pool = np.concatenate([fillers, d_words, q_words])
     probs = np.concatenate([
         np.full(len(fillers), 0.7 / len(fillers)),
         np.full(len(d_words), 0.2 / len(d_words)),
         np.full(len(q_words), 0.1 / len(q_words)),
     ])
     probs /= probs.sum()
+    # rng.choice(mixed_pool, size=n, p=probs) with its cdf built once: the
+    # same draws and arithmetic as Generator.choice, without re-validating p
+    # for every document. The per-document integers/random order is kept
+    # because PCG64 buffers 32-bit halves between integers calls.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     for di in range(spec.n_queries, spec.n_docs):
         length = int(rng.integers(lo, hi + 1))
-        words = rng.choice(mixed_pool, size=length, p=probs)
-        corpus[f"d{di}"] = " ".join(words)
+        words = mixed_pool[cdf.searchsorted(rng.random(length), side="right")]
+        corpus[f"d{di}"] = " ".join(words.tolist())
 
-    doc_ids = list(corpus)
+    # doc ids are d0 .. d{n_docs-1} in order, so index i of the pool
+    # without d{qi} is doc i + (i >= qi)
+    n_pool = spec.n_docs - 1
     for qi in range(spec.n_queries):
-        pool = [d for d in doc_ids if d != f"d{qi}"]
-        negs = rng.choice(len(pool), size=min(spec.hard_negatives_per_query, len(pool)),
+        negs = rng.choice(n_pool, size=min(spec.hard_negatives_per_query, n_pool),
                           replace=False)
         triples.append({
             "query_id": f"q{qi}",
             "positive_ids": [f"d{qi}"],
-            "negative_ids": [pool[i] for i in sorted(negs)],
+            "negative_ids": [f"d{i + (i >= qi)}" for i in sorted(negs.tolist())],
         })
 
     return corpus, queries, qrels, triples

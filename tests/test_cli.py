@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from csplade.cli import build_parser, main
+from csplade.cli import build_parser, environment, main
 from csplade.corpus import SynthSpec
 from csplade.encoder import EncoderConfig, EncoderModel
 from csplade.quant import QuantConfig
@@ -72,11 +73,19 @@ class TestSynth:
         assert manifest["seed"] == 7
         assert manifest["config"]["docs"] == 40
         assert "version" in manifest
-        assert set(manifest["env"]) == {"python", "numpy", "blas"}
+        assert set(manifest["env"]) == {"python", "numpy", "blas", "OPENBLAS_NUM_THREADS",
+                                        "OMP_NUM_THREADS", "cpu_count"}
         assert manifest["env"]["numpy"] == np.__version__
         assert manifest["inputs"] == {}  # synth reads no file
         assert manifest["wall_s"] > 0
         assert not any(k.startswith("_") for k in manifest["config"])
+
+    def test_env_reports_blas_threads_as_set(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        env = environment()
+        assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_deterministic(self, synth_dir, tmp_path):
         assert run_cli("synth", "--seed", 7, "--docs", 40, "--queries", 8,
@@ -263,6 +272,15 @@ class TestErrors:
         assert err.startswith("error: ValueError:") and "seq_len" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "a.ckpt").exists()
+
+    def test_bad_synth_spec_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        assert run_cli("synth", "--doc-len-min", 16, "--doc-len-max", 8,
+                       "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "doc_len_range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "corpus.tsv").exists()
 
     @pytest.mark.parametrize("debug", ["0", "1"])
     def test_traceback_only_under_debug(self, tmp_path, capsys, monkeypatch, debug):

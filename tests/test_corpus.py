@@ -1,8 +1,11 @@
 """Vocabulary, tokenization, file formats, and the synthetic generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from csplade.cli import main
 from csplade.corpus import (ParseError, SynthSpec, Vocabulary, build_vocab,
                             detokenize, load_qrels, load_triples, load_tsv,
                             save_qrels, save_triples, save_tsv,
@@ -158,3 +161,64 @@ class TestSynthGenerate:
             SynthSpec(n_synonym_pairs=2, slots_per_query=(2, 3))
         with pytest.raises(ValueError):
             SynthSpec(n_docs=5, n_queries=10)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(doc_len_range=(16, 8)), "doc_len_range"),
+        (dict(doc_len_range=(0, 8), slots_per_query=(0, 0)), "doc_len_range"),
+        (dict(slots_per_query=(3, 2)), "slots_per_query"),
+        (dict(slots_per_query=(0, 0)), "slots_per_query"),
+        (dict(slots_per_query=(0, 2)), "slots_per_query"),
+        (dict(hard_negatives_per_query=-1), "hard_negatives_per_query"),
+        (dict(base_vocab_size=0), "base_vocab_size"),
+        (dict(n_synonym_pairs=0), "n_synonym_pairs"),
+    ])
+    def test_bad_spec_names_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize("n_docs, n_queries, hard_negs", [
+        (10, 10, 3), (11, 10, 3), (12, 10, 50), (2, 2, 8), (2, 1, 8), (1, 1, 8),
+        (60, 10, 8), (40, 20, 0),
+    ])
+    def test_hard_negatives(self, n_docs, n_queries, hard_negs):
+        """Every query's negatives are distinct docs other than its positive,
+        in ascending doc order, as many as the pool allows. Every query is
+        checked, so qi = 0 and qi = n_queries - 1, the ends of the pool
+        without d{qi}, are covered; at (12, 10, 50) the pool is taken whole."""
+        spec = SynthSpec(n_docs=n_docs, n_queries=n_queries,
+                         hard_negatives_per_query=hard_negs, seed=3)
+        corpus, _, qrels, triples = synth_generate(spec)
+        assert [t["query_id"] for t in triples] == [f"q{qi}" for qi in range(n_queries)]
+        for t in triples:
+            negs = t["negative_ids"]
+            assert len(negs) == min(hard_negs, n_docs - 1)
+            assert t["positive_ids"] == list(qrels[t["query_id"]])
+            assert not set(negs) & set(t["positive_ids"])
+            assert set(negs) <= set(corpus)
+            nums = [int(d[1:]) for d in negs]
+            assert nums == sorted(set(nums))
+
+
+class TestSynthBytes:
+    """The sha256 of each file `csplade synth` writes, for the default spec
+    and for the `query` benchmark workload's spec. Any change to the
+    generator's draws or to the file formats shows here."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["--seed", "0"], {
+            "corpus.tsv": "e468125ef5b883ba0b4d0d1559a63d2f497f722c43b13e73a94d4dcbc994a622",
+            "queries.tsv": "0334e18649e43e85b4c0af58787fc80d7d412b2f5e98e063d6f198f6563bb9ed",
+            "qrels.txt": "b3d1f9c6b1c775ba18e7759b87a94772a41c982a0cbd5e69d536b77967a83744",
+            "triples.jsonl": "b1f5162d096cdf7a04034074abeb96d5c9d62b61d5a4e2a3230e60511add474f",
+        }),
+        (["--seed", "1", "--docs", "10000", "--queries", "200"], {
+            "corpus.tsv": "869ed83f78463fce994f7f93d9cb3df4345ea7ff104c54c183e6c50bfc1344ec",
+            "queries.tsv": "d1386fd1f018c37888e5157186fc92128dfda0500cb7efd54b611f285c024f4f",
+            "qrels.txt": "3ed4c9513af3efe60b983e0f75c68492c0143e6512017da35ee84b59fc1c1df6",
+            "triples.jsonl": "9b6b69c6f031e06a8679f6e73b3ca986feacfb92cb922cf7b4e840e843c005e8",
+        }),
+    ], ids=["default", "query-workload"])
+    def test_synth_files_pinned(self, tmp_path, argv, digests):
+        assert main(["synth", *argv, "--out", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
