@@ -40,7 +40,6 @@ __all__ = [
     "attention",
     "softmax_cross_entropy",
     "no_grad",
-    "grad_check",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -316,7 +315,7 @@ _F32_INV_SQRT_2PI = np.array(_INV_SQRT_2PI, dtype=np.float32)
 def _gelu(x, need_grad):
     """GELU(x) = x Phi(x) and, if need_grad, its derivative
     Phi(x) + x phi(x) (else None), in the dtype of x. Float64, the dtype of
-    grad_check, uses scipy's erf; float32 the erfc above, in place."""
+    gradient checks, uses scipy's erf; float32 the erfc above, in place."""
     if x.dtype != np.float32:
         one_plus_erf = 1.0 + erf(x / _SQRT2)
         data = 0.5 * x * one_plus_erf
@@ -733,36 +732,3 @@ def softmax_cross_entropy(logits, targets, weights=None):
         logits._accumulate(g * p * (w / wsum)[:, None])
 
     return _make(data, (logits,), "softmax_cross_entropy", backward)
-
-
-def grad_check(f, x, h=1e-4):
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` maps a Tensor to a scalar Tensor. Run with float64 data for
-    trustworthy results. Relative error per coordinate is
-    |analytic - numeric| / max(1, |numeric|).
-    """
-    x0 = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    leaf = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
-    out = f(leaf)
-    if not np.isfinite(out.data).all():
-        raise FloatingPointError("grad_check: f(x) is not finite")
-    out.backward()
-    analytic = leaf.grad.copy() if leaf.grad is not None else np.zeros_like(x0)
-
-    numeric = np.zeros_like(x0)
-    flat = x0.ravel()
-    num_flat = numeric.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(Tensor(x0.copy(), dtype=np.float64)).data)
-        flat[i] = orig - h
-        fm = float(f(Tensor(x0.copy(), dtype=np.float64)).data)
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise FloatingPointError("grad_check: f(x +/- h) is not finite")
-        num_flat[i] = (fp - fm) / (2.0 * h)
-
-    denom = np.maximum(1.0, np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0

@@ -58,20 +58,24 @@ def environment():
             "cpu_count": os.cpu_count()}
 
 
-def write_manifest(path, subcommand, args, outputs):
+def write_manifest(path, subcommand, args, outputs, stats=None):
     """The resolved config plus the environment, the sha256 of each input
-    (hashed by `main` before the stage ran) and the stage's wall time."""
+    (hashed by `main` before the stage ran) and of each output, the stage's
+    wall time and, when given, the stage's `stats`."""
+    wall_s = round(time.perf_counter() - args._started, 6)
     config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "env": environment(),
         "inputs": args._inputs,
-        "outputs": sorted(str(o) for o in outputs),
+        "outputs": {str(o): _sha256(o) for o in outputs},
         "seed": config.get("seed"),
         "version": __version__,
-        "wall_s": round(time.perf_counter() - args._started, 6),
+        "wall_s": wall_s,
     }
+    if stats is not None:
+        manifest["stats"] = stats
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
@@ -182,7 +186,12 @@ def cmd_index(args):
     reps = splade.read_reps(args.reps, vocab.size)
     idx = index_mod.build_index(reps, bits=args.bits)
     index_mod.serialize(idx, args.out)
-    write_manifest(str(args.out) + ".manifest.json", "index", args, [args.out])
+    postings = sum(len(p.ordinals) for p in idx.postings.values())
+    size = Path(args.out).stat().st_size
+    stats = {"docs": idx.doc_count, "postings": postings, "bytes": size,
+             "bytes_per_posting": size / postings if postings else None,
+             "dense_lists": len(idx.block_row)}
+    write_manifest(str(args.out) + ".manifest.json", "index", args, [args.out], stats)
     return 0
 
 

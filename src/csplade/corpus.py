@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import BOS_ID, EOS_ID, PAD_ID, UNK_ID, TokenSequence
+from .encoder import BOS_ID, EOS_ID, UNK_ID, TokenSequence
 
 RESERVED = ["<pad>", "<bos>", "<eos>", "<unk>"]
 
@@ -71,12 +71,6 @@ def tokenize(text, vocab: Vocabulary, max_len=64) -> TokenSequence:
         ids = ids[: max_len - 2]
     seq = np.array([BOS_ID] + ids + [EOS_ID], dtype=np.int64)
     return TokenSequence(seq, span=(1, len(seq)))
-
-
-def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
-    words = [vocab.id_to_token[i] for i in seq.ids
-             if i not in (PAD_ID, BOS_ID, EOS_ID)]
-    return " ".join(words)
 
 
 # --- file formats: TSV corpus/queries, TREC qrels, JSONL triples ---

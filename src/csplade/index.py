@@ -4,6 +4,15 @@ Impacts are linearly quantized against the collection-wide maximum
 weight (floor 1 so no posting vanishes), doc ordinals are Elias-Fano coded
 per posting list and numbered doc ids are stored as runs.
 
+The build inverts by sorting, not by appending to per-term lists (Zobel &
+Moffat, "Inverted files for text search engines", ACM Computing Surveys
+2006): all postings are concatenated in doc order into flat arrays of term
+ids (in the narrowest unsigned type that holds the vocabulary), uint32
+doc ordinals and weights, stably argsorted by term id, quantized in one
+float64 pass and cut at term boundaries, so each posting list is a view
+and keeps its ordinals increasing. Memory is a few flat arrays rather than
+one Python object per posting.
+
 Search is exact and runs in two passes. In memory, every posting list
 dense enough that a full-length impact row costs no more bytes than its
 ordinals plus impacts is also held as a row of one float32 block (0 marks
@@ -83,45 +92,67 @@ def _impact_dtype(bits):
 
 
 def build_index(reps, bits=8) -> InvertedIndex:
-    """reps: iterable of (doc_id, SparseRep); ordinals follow input order."""
+    """reps: iterable of (doc_id, SparseRep); ordinals follow input order.
+
+    Every posting list is a view into one array of ordinals and one of
+    impacts, both in (term, ordinal) order.
+    """
     if bits not in (0, 8, 16):
         raise ValueError(f"bits must be 0, 8 or 16, got {bits}")
     doc_ids = []
     seen = set()
-    term_docs = {}
-    term_weights = {}
+    term_arrays, weight_arrays = [], []
     vocab_size = None
-    max_weight = 0.0
     for doc_id, rep in reps:
         if doc_id in seen:
             raise ValueError(f"duplicate doc id {doc_id!r}")
         seen.add(doc_id)
-        ordinal = len(doc_ids)
         doc_ids.append(doc_id)
         if vocab_size is None:
             vocab_size = rep.vocab_size
         elif rep.vocab_size != vocab_size:
             raise ValueError("mixed vocab sizes in one index")
-        if len(rep):
-            max_weight = max(max_weight, float(rep.weights.max()))
-        for t, w in zip(rep.term_ids, rep.weights):
-            term_docs.setdefault(int(t), []).append(ordinal)
-            term_weights.setdefault(int(t), []).append(float(w))
+        term_arrays.append(rep.term_ids)
+        weight_arrays.append(rep.weights)
+    vocab_size = vocab_size if vocab_size is not None else 0
+
+    # Term ids are in [0, vocab_size) (SparseRep checks), so the narrowest
+    # unsigned type that holds vocab_size - 1 loses nothing; for 8- and
+    # 16-bit keys the stable argsort is a radix sort. The leading empty
+    # arrays let an empty collection concatenate. Each transient is deleted
+    # as soon as it is used up, since the peak is the sum of those alive.
+    key = np.min_scalar_type(max(vocab_size - 1, 0))
+    terms = np.concatenate([np.empty(0, key)] + term_arrays, dtype=key, casting="unsafe")
+    counts = np.fromiter(map(len, term_arrays), dtype=np.int64, count=len(term_arrays))
+    order = np.argsort(terms, kind="stable")  # keeps doc order within a term
+    terms = terms[order]
+    ordinals = np.repeat(np.arange(len(doc_ids), dtype=np.uint32), counts)[order]
+    weights = np.concatenate([np.empty(0, np.float32)] + weight_arrays)
+    max_weight = float(weights.max(initial=0.0))
+    weights = weights[order]
+    del order
 
     scale = max_weight if max_weight > 0 else 1.0
-    dtype = _impact_dtype(bits)
+    if bits == 0:
+        impacts = weights
+    else:  # w / scale * (2**bits - 1), rounded, floor 1, in float64
+        q = weights.astype(np.float64)
+        del weights
+        q /= scale
+        q *= 2 ** bits - 1
+        np.round(q, out=q)
+        np.maximum(q, 1, out=q)
+        impacts = q.astype(_impact_dtype(bits))
+        del q
+
+    first = np.ones(terms.size, dtype=bool)  # first posting of each term
+    first[1:] = terms[1:] != terms[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], terms.size)
     postings = {}
-    for t in sorted(term_docs):
-        ords = np.array(term_docs[t], dtype=np.uint32)
-        weights = np.array(term_weights[t], dtype=np.float64)
-        if bits == 0:
-            impacts = weights.astype(np.float32)
-        else:
-            q = np.maximum(1, np.round(weights / scale * (2 ** bits - 1)))
-            impacts = q.astype(dtype)
-        postings[t] = PostingList(t, ords, impacts)
-    return InvertedIndex(vocab_size if vocab_size is not None else 0,
-                         bits, float(scale), doc_ids, postings)
+    for t, a, b in zip(terms[starts].tolist(), starts.tolist(), ends.tolist()):
+        postings[t] = PostingList(t, ordinals[a:b], impacts[a:b])
+    return InvertedIndex(vocab_size, bits, float(scale), doc_ids, postings)
 
 
 @dataclass

@@ -54,11 +54,6 @@ class SparseRep:
     def nnz(self):
         return len(self.term_ids)
 
-    def to_dense(self, dtype=np.float64):
-        dense = np.zeros(self.vocab_size, dtype=dtype)
-        dense[self.term_ids] = self.weights
-        return dense
-
 
 @dataclass
 class LossBreakdown:

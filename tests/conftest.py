@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from csplade.autodiff import Tensor
 from csplade.corpus import SynthSpec, build_vocab, synth_generate
-from csplade.encoder import EncoderConfig, EncoderModel
+from csplade.encoder import BOS_ID, EOS_ID, PAD_ID, EncoderConfig, EncoderModel
 from csplade.evalkit import mrr_at_k
-from csplade.index import SearchResult, build_index, search
+from csplade.index import (InvertedIndex, PostingList, SearchResult, _impact_dtype,
+                           build_index, search)
 from csplade.splade import SparseRep
 from csplade.trainer import encode_texts
 
@@ -53,6 +55,87 @@ def random_sparse_rep(rng, vocab_size, max_nnz=12):
     return SparseRep(terms, weights, vocab_size)
 
 
+def to_dense(rep: SparseRep, dtype=np.float64):
+    """A SparseRep as a dense vocabulary-sized vector."""
+    dense = np.zeros(rep.vocab_size, dtype=dtype)
+    dense[rep.term_ids] = rep.weights
+    return dense
+
+
+def detokenize(seq, vocab) -> str:
+    """The words of a token sequence, without PAD, BOS and EOS."""
+    return " ".join(vocab.id_to_token[i] for i in seq.ids
+                    if i not in (PAD_ID, BOS_ID, EOS_ID))
+
+
+def grad_check(f, x, h=1e-4):
+    """Max relative error between analytic and central-difference gradients.
+
+    `f` maps a Tensor to a scalar Tensor. Run with float64 data for
+    trustworthy results. Relative error per coordinate is
+    |analytic - numeric| / max(1, |numeric|).
+    """
+    x0 = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    leaf = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
+    out = f(leaf)
+    if not np.isfinite(out.data).all():
+        raise FloatingPointError("grad_check: f(x) is not finite")
+    out.backward()
+    analytic = leaf.grad.copy() if leaf.grad is not None else np.zeros_like(x0)
+
+    numeric = np.zeros_like(x0)
+    flat = x0.ravel()
+    num_flat = numeric.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(Tensor(x0.copy(), dtype=np.float64)).data)
+        flat[i] = orig - h
+        fm = float(f(Tensor(x0.copy(), dtype=np.float64)).data)
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise FloatingPointError("grad_check: f(x +/- h) is not finite")
+        num_flat[i] = (fp - fm) / (2.0 * h)
+
+    denom = np.maximum(1.0, np.abs(numeric))
+    return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
+
+
+def build_index_dicts(reps, bits=8):
+    """Invert one posting at a time into dicts of Python lists, then
+    quantize each list: the builder that index.build_index replaced. It
+    must give the same InvertedIndex, dtypes and serialized bytes."""
+    doc_ids = []
+    term_docs = {}
+    term_weights = {}
+    vocab_size = None
+    max_weight = 0.0
+    for doc_id, rep in reps:
+        ordinal = len(doc_ids)
+        doc_ids.append(doc_id)
+        if vocab_size is None:
+            vocab_size = rep.vocab_size
+        if len(rep):
+            max_weight = max(max_weight, float(rep.weights.max()))
+        for t, w in zip(rep.term_ids, rep.weights):
+            term_docs.setdefault(int(t), []).append(ordinal)
+            term_weights.setdefault(int(t), []).append(float(w))
+
+    scale = max_weight if max_weight > 0 else 1.0
+    postings = {}
+    for t in sorted(term_docs):
+        ords = np.array(term_docs[t], dtype=np.uint32)
+        weights = np.array(term_weights[t], dtype=np.float64)
+        if bits == 0:
+            impacts = weights.astype(np.float32)
+        else:
+            q = np.maximum(1, np.round(weights / scale * (2 ** bits - 1)))
+            impacts = q.astype(_impact_dtype(bits))
+        postings[t] = PostingList(t, ords, impacts)
+    return InvertedIndex(vocab_size if vocab_size is not None else 0,
+                         bits, float(scale), doc_ids, postings)
+
+
 def scatter_add_search(index, q, k):
     """Term-at-a-time search with no dense rows and no partition: every
     posting list is scatter-added by ordinal into a float64 accumulator,
@@ -73,11 +156,11 @@ def scatter_add_search(index, q, k):
 
 def brute_force_search(reps, q: SparseRep, k: int) -> SearchResult:
     """Independent oracle: densify every doc and dot it with the query."""
-    qd = q.to_dense()
+    qd = to_dense(q)
     doc_ids, scores = [], []
     for doc_id, rep in reps:
         doc_ids.append(doc_id)
-        scores.append(float(rep.to_dense() @ qd))
+        scores.append(float(to_dense(rep) @ qd))
     scores = np.array(scores)
     cand = np.flatnonzero(scores > 0)
     order = np.lexsort((cand, -scores[cand]))[:k]

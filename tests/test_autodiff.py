@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import grad_check
 from csplade import autodiff as ad
-from csplade.autodiff import ShapeError, Tensor, grad_check
+from csplade.autodiff import ShapeError, Tensor
 
 
 def f64(x, requires_grad=False):

@@ -11,6 +11,7 @@ import pytest
 from csplade.cli import build_parser, environment, main
 from csplade.corpus import SynthSpec
 from csplade.encoder import EncoderConfig, EncoderModel
+from csplade.index import deserialize
 from csplade.quant import QuantConfig
 from csplade.trainer import AdaptConfig, ContrastiveConfig
 
@@ -125,6 +126,39 @@ class TestPipeline:
         manifest = json.loads((work / "metrics.csv.manifest.json").read_text())
         assert manifest["inputs"] == {str(work / "run.txt"): sha(work / "run.txt"),
                                       str(data / "qrels.txt"): sha(data / "qrels.txt")}
+
+    def test_manifests_hash_outputs(self, pipeline):
+        work, data = pipeline
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        expected = {
+            data / "manifest.json": [data / n for n in ("corpus.tsv", "queries.tsv",
+                                                       "qrels.txt", "triples.jsonl")],
+            work / "adapted.ckpt.manifest.json": [work / "adapted.ckpt", work / "vocab.txt",
+                                                  work / "adapt.csv"],
+            work / "trained.ckpt.manifest.json": [work / "trained.ckpt", work / "train.csv"],
+            work / "reps.txt.manifest.json": [work / "reps.txt"],
+            work / "index.bin.manifest.json": [work / "index.bin"],
+            work / "run.txt.manifest.json": [work / "run.txt"],
+            work / "metrics.csv.manifest.json": [work / "metrics.csv"],
+        }
+        for manifest_path, outputs in expected.items():
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["outputs"] == {str(p): sha(p) for p in outputs}, manifest_path
+
+    def test_index_manifest_stats(self, pipeline):
+        work, _ = pipeline
+        idx = deserialize(work / "index.bin")
+        postings = sum(len(p.ordinals) for p in idx.postings.values())
+        size = (work / "index.bin").stat().st_size
+        manifest = json.loads((work / "index.bin.manifest.json").read_text())
+        assert manifest["stats"] == {"docs": 40, "postings": postings, "bytes": size,
+                                     "bytes_per_posting": size / postings,
+                                     "dense_lists": len(idx.block_row)}
+        assert postings > 0 and idx.doc_count == 40
+        assert "stats" not in json.loads((work / "reps.txt.manifest.json").read_text())
 
     def test_metrics_csv_shape(self, pipeline):
         work, _ = pipeline

@@ -5,11 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import detokenize
 from csplade.cli import main
 from csplade.corpus import (ParseError, SynthSpec, Vocabulary, build_vocab,
-                            detokenize, load_qrels, load_triples, load_tsv,
-                            save_qrels, save_triples, save_tsv,
-                            synth_generate, tokenize)
+                            load_qrels, load_triples, load_tsv, save_qrels,
+                            save_triples, save_tsv, synth_generate, tokenize)
 from csplade.encoder import BOS_ID, EOS_ID, UNK_ID
 
 

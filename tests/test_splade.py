@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csplade import autodiff as ad
-from csplade.autodiff import Tensor, grad_check
+from csplade.autodiff import Tensor
 from csplade.splade import (WEIGHT_FLOOR, LossBreakdown, RepsFormatError, SparseRep,
                             adaptation_loss_batch, flops_reg_t, pool_reps,
                             rank_loss_t, read_reps, splade_pool, write_reps)
-from conftest import dot_score, flops_reg, rank_loss
+from conftest import dot_score, flops_reg, grad_check, rank_loss, to_dense
 
 
 def rep(pairs, vocab_size=10):
@@ -42,7 +42,7 @@ class TestSparseRep:
             SparseRep([1, 2], [1.0, bad], 10)
 
     def test_to_dense(self):
-        d = rep([(2, 1.5), (7, 0.5)]).to_dense()
+        d = to_dense(rep([(2, 1.5), (7, 0.5)]))
         assert d[2] == 1.5 and d[7] == 0.5 and d.sum() == 2.0
 
 
@@ -99,7 +99,7 @@ class TestSpladePool:
         span[1, 2:5] = True
         pooled = pool_reps(Tensor(logits), span).data
         for i, (s, e) in enumerate([(1, 4), (2, 5)]):
-            expected = splade_pool(logits[i].T, (s, e)).to_dense(np.float32)
+            expected = to_dense(splade_pool(logits[i].T, (s, e)), np.float32)
             np.testing.assert_allclose(pooled[i], expected, atol=1e-6)
 
 
@@ -120,7 +120,7 @@ class TestScoringAndLosses:
         from conftest import random_sparse_rep
         rng = np.random.default_rng(seed)
         q, d = random_sparse_rep(rng, 30), random_sparse_rep(rng, 30)
-        assert dot_score(q, d) == pytest.approx(float(q.to_dense() @ d.to_dense()), abs=1e-6)
+        assert dot_score(q, d) == pytest.approx(float(to_dense(q) @ to_dense(d)), abs=1e-6)
 
     def test_rank_loss_symmetric_pair(self):
         q = rep([(1, 1.0)])
@@ -163,7 +163,7 @@ class TestScoringAndLosses:
         from conftest import random_sparse_rep
         rng = np.random.default_rng(3)
         batch = [random_sparse_rep(rng, 15) for _ in range(5)]
-        dense = Tensor(np.stack([r.to_dense() for r in batch]), dtype=np.float64)
+        dense = Tensor(np.stack([to_dense(r) for r in batch]), dtype=np.float64)
         assert float(flops_reg_t(dense).data) == pytest.approx(flops_reg(batch), rel=1e-6)
 
     def test_rank_loss_shift_invariance(self):
