@@ -246,8 +246,7 @@ def cmd_bench(args):
     rows = [quant.CSV_HEADER]
     for name, qcfg in configs:
         target = model if qcfg is None else quant.quantize_weights(model, qcfg)
-        report = quant.bench_encode(target, seqs, batch_size=args.batch,
-                                    warmup_iters=args.warmup,
+        report = quant.bench_encode(target, seqs, warmup_iters=args.warmup,
                                     measure_iters=args.iters, config_name=name)
         rows.append(report.csv_row())
         print(rows[-1])
@@ -360,7 +359,6 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--batch", type=int, default=1)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--group-size", type=int, default=QuantConfig.group_size)

@@ -123,67 +123,45 @@ def bm25_search(corpus, query_text, stats: CollectionStats, k,
 
 # --- metrics; run: dict qid -> ranked list of (docid, score) ---
 
-def _ranked_ids(entry):
-    if isinstance(entry, SearchResult):
-        return entry.doc_ids
-    return [d for d, _ in entry]
-
-
-def _check_no_dups(qid, ids):
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate docid in run for query {qid}")
-
-
-def _evaluated_queries(run, qrels):
-    """Queries that have at least one positively judged doc."""
+def _per_query(run, qrels, k, score):
+    """`score(judged, ids)` over the top-k doc ids of every query with at
+    least one positively judged doc, and the mean over those queries."""
+    per_query = {}
     for qid, judged in qrels.items():
-        if any(rel > 0 for rel in judged.values()):
-            yield qid, judged
+        if not any(rel > 0 for rel in judged.values()):
+            continue
+        entry = run.get(qid, [])
+        ids = (entry.doc_ids if isinstance(entry, SearchResult) else [d for d, _ in entry])[:k]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate docid in run for query {qid}")
+        per_query[qid] = score(judged, ids)
+    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
+    return per_query, mean
 
 
 def mrr_at_k(run, qrels, k):
-    per_query = {}
-    for qid, judged in _evaluated_queries(run, qrels):
-        ids = _ranked_ids(run.get(qid, []))[:k]
-        _check_no_dups(qid, ids)
-        rr = 0.0
-        for rank, docid in enumerate(ids, 1):
-            if judged.get(docid, 0) > 0:
-                rr = 1.0 / rank
-                break
-        per_query[qid] = rr
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return per_query, mean
+    def reciprocal_rank(judged, ids):
+        return next((1.0 / rank for rank, docid in enumerate(ids, 1)
+                     if judged.get(docid, 0) > 0), 0.0)
+    return _per_query(run, qrels, k, reciprocal_rank)
 
 
 def recall_at_k(run, qrels, k):
-    per_query = {}
-    for qid, judged in _evaluated_queries(run, qrels):
+    def recall(judged, ids):
         relevant = {d for d, rel in judged.items() if rel > 0}
-        ids = _ranked_ids(run.get(qid, []))[:k]
-        _check_no_dups(qid, ids)
-        per_query[qid] = len(relevant.intersection(ids)) / len(relevant)
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return per_query, mean
+        return len(relevant.intersection(ids)) / len(relevant)
+    return _per_query(run, qrels, k, recall)
 
 
 def ndcg_at_k(run, qrels, k):
     """Gain 2^rel - 1, log2(rank+1) discount, ideal DCG from the qrels."""
-    per_query = {}
-    for qid, judged in _evaluated_queries(run, qrels):
-        ids = _ranked_ids(run.get(qid, []))[:k]
-        _check_no_dups(qid, ids)
-        dcg = 0.0
-        for rank, docid in enumerate(ids, 1):
-            rel = judged.get(docid, 0)
-            if rel > 0:
-                dcg += (2 ** rel - 1) / math.log2(rank + 1)
+    def ndcg(judged, ids):
+        dcg = sum((2 ** judged[d] - 1) / math.log2(rank + 1)
+                  for rank, d in enumerate(ids, 1) if judged.get(d, 0) > 0)
         ideal = sorted((rel for rel in judged.values() if rel > 0), reverse=True)[:k]
-        idcg = sum((2 ** rel - 1) / math.log2(rank + 1)
-                   for rank, rel in enumerate(ideal, 1))
-        per_query[qid] = dcg / idcg if idcg > 0 else 0.0
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return per_query, mean
+        idcg = sum((2 ** rel - 1) / math.log2(rank + 1) for rank, rel in enumerate(ideal, 1))
+        return dcg / idcg if idcg > 0 else 0.0
+    return _per_query(run, qrels, k, ndcg)
 
 
 METRICS = {"mrr": mrr_at_k, "recall": recall_at_k, "ndcg": ndcg_at_k}

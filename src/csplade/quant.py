@@ -122,9 +122,10 @@ class LatencyReport:
 CSV_HEADER = "config,bits,granularity,compute,qps,p50_ms,p95_ms,mem_bytes"
 
 
-def bench_encode(model, queries, batch_size=1, warmup_iters=5, measure_iters=30,
+def bench_encode(model, queries, warmup_iters=5, measure_iters=30,
                  config_name=None) -> LatencyReport:
-    """Wall-clock encode-only benchmark over pre-tokenized queries.
+    """Wall-clock encode-only benchmark over pre-tokenized queries, one
+    forward per query.
 
     `model` is either an EncoderModel or a QuantizedModel; tokenization is
     excluded by construction (queries are TokenSequence objects).
@@ -144,24 +145,21 @@ def bench_encode(model, queries, batch_size=1, warmup_iters=5, measure_iters=30,
         name = config_name or "fp32"
 
     seqs = list(queries)
-    times = np.empty(measure_iters)
+    per_query_ms = np.empty(measure_iters)
     with no_grad():
         for i in range(warmup_iters):
             fwd_model.forward_logits(seqs[i % len(seqs)])
         start_all = time.perf_counter()
         for i in range(measure_iters):
-            batch = [seqs[(i * batch_size + j) % len(seqs)] for j in range(batch_size)]
             t0 = time.perf_counter()
-            for seq in batch:
-                fwd_model.forward_logits(seq)
-            times[i] = time.perf_counter() - t0
+            fwd_model.forward_logits(seqs[i % len(seqs)])
+            per_query_ms[i] = (time.perf_counter() - t0) * 1e3
         elapsed = time.perf_counter() - start_all
-    per_query_ms = times / batch_size * 1e3
     return LatencyReport(
         config=name,
         bits=bits,
         granularity=gran,
-        qps=measure_iters * batch_size / elapsed,
+        qps=measure_iters / elapsed,
         p50_ms=float(np.percentile(per_query_ms, 50)),
         p95_ms=float(np.percentile(per_query_ms, 95)),
         mem_bytes=mem,

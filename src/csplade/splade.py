@@ -55,21 +55,6 @@ class SparseRep:
         return len(self.term_ids)
 
 
-@dataclass
-class LossBreakdown:
-    rank_loss: float
-    flops_q: float
-    flops_d: float
-    lambda_q: float
-    lambda_d: float
-    total: float
-
-    @classmethod
-    def combine(cls, rank_loss, flops_q, flops_d, lambda_q, lambda_d):
-        total = rank_loss + lambda_q * flops_q + lambda_d * flops_d
-        return cls(rank_loss, flops_q, flops_d, lambda_q, lambda_d, total)
-
-
 def log_saturate(logits):
     """log(1 + relu(x)) on a tensor."""
     return ad.log1p(ad.relu(logits))

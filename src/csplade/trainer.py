@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from . import splade
 from .autodiff import Tensor
 from .corpus import Vocabulary, tokenize
 from .encoder import PAD_ID, EncoderModel, TokenSequence, echo_expand
-from .splade import (WEIGHT_FLOOR, LossBreakdown, adaptation_loss_batch,
-                     flops_reg_t, pool_reps, splade_pool)
+from .splade import (WEIGHT_FLOOR, adaptation_loss_batch, flops_reg_t, pool_reps,
+                     splade_pool)
 
 # Largest global L2 norm of the parameter gradients in a contrastive step.
 # Unclipped, InfoNCE over ~200 active terms saturates early and the norm
@@ -69,65 +69,57 @@ class ContrastiveConfig:
             raise ValueError("FLOPs coefficients must be >= 0")
 
 
-@dataclass
 class TrainReport:
-    steps: list = field(default_factory=list)
-    rank_loss: list = field(default_factory=list)
-    flops_q: list = field(default_factory=list)
-    flops_d: list = field(default_factory=list)
-    clm: list = field(default_factory=list)
-    relu_clm: list = field(default_factory=list)
-    total: list = field(default_factory=list)
-    dead_frac: list = field(default_factory=list)
-    avg_nnz_q: list = field(default_factory=list)
-    avg_nnz_d: list = field(default_factory=list)
-    lr: list = field(default_factory=list)
-    wall_clock: list = field(default_factory=list)
+    """One row per optimizer step. COLUMNS declares each CSV column once, with
+    its format; a column reads back as a list by name (`report.total`). A
+    column that a phase does not measure is 0."""
 
-    CSV_HEADER = ("step,rank_loss,flops_q,flops_d,clm,relu_clm,total,dead_frac,"
-                  "avg_nnz_q,avg_nnz_d,lr,step_ms")
+    COLUMNS = (("step", "d"), ("rank_loss", ".6f"), ("flops_q", ".6f"),
+               ("flops_d", ".6f"), ("clm", ".6f"), ("relu_clm", ".6f"),
+               ("total", ".6f"), ("dead_frac", ".6f"), ("avg_nnz_q", ".3f"),
+               ("avg_nnz_d", ".3f"), ("lr", ".8f"), ("step_ms", ".3f"),
+               ("grad_norm", ".6f"), ("dead_dims", ".6f"))
+    CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 
-    def append(self, step, rank_loss=0.0, flops_q=0.0, flops_d=0.0, clm=0.0,
-               relu_clm=0.0, total=0.0, dead_frac=0.0, avg_nnz_q=0.0,
-               avg_nnz_d=0.0, lr=0.0, wall_clock=0.0):
-        self.steps.append(step)
-        self.rank_loss.append(rank_loss)
-        self.flops_q.append(flops_q)
-        self.flops_d.append(flops_d)
-        self.clm.append(clm)
-        self.relu_clm.append(relu_clm)
-        self.total.append(total)
-        self.dead_frac.append(dead_frac)
-        self.avg_nnz_q.append(avg_nnz_q)
-        self.avg_nnz_d.append(avg_nnz_d)
-        self.lr.append(lr)
-        self.wall_clock.append(wall_clock)
+    def __init__(self):
+        self.columns = {name: [] for name, _ in self.COLUMNS}
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def append(self, step, **values):
+        unknown = values.keys() - self.columns.keys()
+        if unknown:
+            raise ValueError(f"unknown report column {', '.join(sorted(unknown))}")
+        values["step"] = step
+        for name, column in self.columns.items():
+            column.append(values.get(name, 0.0))
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.step)
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.CSV_HEADER + "\n")
-            for i in range(len(self.steps)):
-                f.write(f"{self.steps[i]},{self.rank_loss[i]:.6f},{self.flops_q[i]:.6f},"
-                        f"{self.flops_d[i]:.6f},{self.clm[i]:.6f},{self.relu_clm[i]:.6f},"
-                        f"{self.total[i]:.6f},{self.dead_frac[i]:.6f},"
-                        f"{self.avg_nnz_q[i]:.3f},{self.avg_nnz_d[i]:.3f},"
-                        f"{self.lr[i]:.8f},{self.wall_clock[i] * 1e3:.3f}\n")
+            for row in zip(*self.columns.values()):
+                f.write(",".join(format(v, fmt) for v, (_, fmt) in zip(row, self.COLUMNS)) + "\n")
 
     @classmethod
     def from_csv(cls, path):
         """Read a report written by `to_csv`."""
         report = cls()
+        names = [name for name, _ in cls.COLUMNS[1:]]
         with open(path, "r", encoding="utf-8") as f:
             if f.readline().rstrip("\n") != cls.CSV_HEADER:
                 raise ValueError(f"unexpected report header in {path}")
-            for line in f:
+            for n, line in enumerate(f, 2):
                 step, *vals = line.rstrip("\n").split(",")
-                vals = [float(v) for v in vals]
-                vals[-1] /= 1e3  # step_ms -> wall_clock seconds
-                report.append(int(step), *vals)
+                if len(vals) != len(names):
+                    raise ValueError(f"{path}:{n}: expected {len(cls.COLUMNS)} fields")
+                report.append(int(step), **dict(zip(names, map(float, vals))))
         return report
 
 
@@ -189,19 +181,25 @@ class AdamW:
             p.zero_grad()
 
 
+def grad_norm(params) -> float:
+    """Global L2 norm of the gradients; parameters without a grad are skipped."""
+    return float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                             for p in params.values() if p.grad is not None)))
+
+
 def clip_grad_norm(params, max_norm):
     """Scale all gradients so their global L2 norm is <= max_norm.
 
-    Returns the norm before clipping. Parameters without a grad are skipped.
-    Each grad is replaced, not scaled in place: one array may be the grad of
-    several tensors (see autodiff.Tensor._accumulate).
+    Returns the norm before clipping. Each grad is replaced, not scaled in
+    place: one array may be the grad of several tensors (see
+    autodiff.Tensor._accumulate).
     """
-    with_grad = [p for p in params.values() if p.grad is not None]
-    norm = float(np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in with_grad)))
+    norm = grad_norm(params)
     if norm > max_norm:
         factor = max_norm / norm
-        for p in with_grad:
-            p.grad = p.grad * factor
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = p.grad * factor
     return norm
 
 
@@ -246,30 +244,23 @@ def encode_texts(model, vocab, texts):
     return reps
 
 
-def empty_rep_fraction(reps) -> float:
-    """Fraction of representations with an empty support."""
-    if isinstance(reps, Tensor):
-        empty = (reps.data > WEIGHT_FLOOR).sum(axis=1) == 0
-    else:
-        if not reps:
-            raise ValueError("empty_rep_fraction: empty batch")
-        empty = np.array([rep.nnz == 0 for rep in reps])
-    return float(empty.mean())
+def _live(reps: Tensor, caller) -> np.ndarray:
+    """(B, V) mask of the pooled weights above WEIGHT_FLOOR."""
+    if reps.shape[0] == 0:
+        raise ValueError(f"{caller}: empty batch")
+    return reps.data > WEIGHT_FLOOR
 
 
-def dead_dim_fraction(reps) -> float:
+def empty_rep_fraction(reps: Tensor) -> float:
+    """Fraction of the (B, V) representations with an empty support."""
+    return float((~_live(reps, "empty_rep_fraction").any(axis=1)).mean())
+
+
+def dead_dim_fraction(reps: Tensor) -> float:
     """Fraction of vocabulary dimensions with no weight above WEIGHT_FLOOR
-    in any representation of the batch: the dimensions a dying ReLU has
-    switched off."""
-    if isinstance(reps, Tensor):
-        live = (reps.data > WEIGHT_FLOOR).any(axis=0)
-    else:
-        if not reps:
-            raise ValueError("dead_dim_fraction: empty batch")
-        live = np.zeros(reps[0].vocab_size, dtype=bool)
-        for rep in reps:
-            live[rep.term_ids[rep.weights > WEIGHT_FLOOR]] = True
-    return float(1.0 - live.mean())
+    in any representation of the (B, V) batch: the dimensions a dying ReLU
+    has switched off."""
+    return float(1.0 - _live(reps, "dead_dim_fraction").any(axis=0).mean())
 
 
 def _nnz_mean(reps: Tensor) -> float:
@@ -305,12 +296,14 @@ def run_adaptation(model: EncoderModel, texts, vocab: Vocabulary, cfg: AdaptConf
         total.backward()
         lr = cosine_lr(step, cfg.steps, cfg.warmup_steps, cfg.lr)
         optimizer.step(lr)
-        step_s = time.perf_counter() - t0
+        step_ms = (time.perf_counter() - t0) * 1e3
         with ad.no_grad():  # the sparsity the step's logits pool to
             reps = pool_reps(logits, span_mask)
         report.append(step, clm=float(clm.data), relu_clm=float(relu_clm.data),
                       total=float(total.data), dead_frac=empty_rep_fraction(reps),
-                      avg_nnz_d=_nnz_mean(reps), lr=lr, wall_clock=step_s)
+                      avg_nnz_d=_nnz_mean(reps), lr=lr, step_ms=step_ms,
+                      grad_norm=grad_norm(model.params),  # unclipped
+                      dead_dims=dead_dim_fraction(reps))
     return model, report
 
 
@@ -370,11 +363,12 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
             fd = flops_reg_t(d_reps)
             total = ad.add(rank, ad.add(ad.scale(fq, cfg.lambda_q),
                                         ad.scale(fd, cfg.lambda_d)))
-            breakdown = LossBreakdown.combine(float(rank.data), float(fq.data),
-                                              float(fd.data), cfg.lambda_q, cfg.lambda_d)
+            terms = dict(rank_loss=float(rank.data), flops_q=float(fq.data),
+                         flops_d=float(fd.data))
             if not np.isfinite(total.data):
                 raise TrainingDivergedError(
-                    f"contrastive step {step}: non-finite loss {breakdown}")
+                    f"contrastive step {step}: non-finite loss "
+                    f"({', '.join(f'{k}={v}' for k, v in terms.items())})")
             dead_q = empty_rep_fraction(q_reps)
             dead_d = empty_rep_fraction(d_reps)
             dead = (dead_q * len(q_seqs) + dead_d * len(d_seqs)) / (len(q_seqs) + len(d_seqs))
@@ -383,13 +377,12 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
                     f"step {step}: all representations empty (empty_rep_fraction=1.0); "
                     "training is stalled by dead ReLU units", RuntimeWarning)
             total.backward()
-            clip_grad_norm(model.params, GRAD_CLIP_NORM)
+            norm = clip_grad_norm(model.params, GRAD_CLIP_NORM)
             lr = cosine_lr(step, total_steps, warmup, cfg.lr)
             optimizer.step(lr)
-            report.append(step, rank_loss=breakdown.rank_loss, flops_q=breakdown.flops_q,
-                          flops_d=breakdown.flops_d, total=breakdown.total,
-                          dead_frac=dead, avg_nnz_q=_nnz_mean(q_reps),
-                          avg_nnz_d=_nnz_mean(d_reps), lr=lr,
-                          wall_clock=time.perf_counter() - t0)
+            report.append(step, **terms, total=float(total.data), dead_frac=dead,
+                          avg_nnz_q=_nnz_mean(q_reps), avg_nnz_d=_nnz_mean(d_reps),
+                          lr=lr, step_ms=(time.perf_counter() - t0) * 1e3,
+                          grad_norm=norm, dead_dims=dead_dim_fraction(d_reps))
             step += 1
     return model, report

@@ -187,7 +187,7 @@ def test_ac3_dying_relu_reproduction_and_cure(capsys, synth):
                               AdaptConfig(steps=500, batch_size=16, seq_len=32,
                                           lr=1e-2, warmup_steps=20, seed=SEED))
     doc_reps = encode_texts(model, vocab, list(synth["corpus"].values())[:200])
-    dead_after = empty_rep_fraction(doc_reps)
+    dead_after = np.mean([r.nnz == 0 for r in doc_reps])
     _, train_report = run_contrastive(
         model, synth["triples"], synth["corpus"], synth["queries"], vocab,
         ContrastiveConfig(epochs=8, lr=3e-3, lambda_q=0.003, lambda_d=0.003,

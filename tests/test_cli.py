@@ -170,7 +170,8 @@ class TestPipeline:
         work, _ = pipeline
         header = (work / "train.csv").read_text().splitlines()[0]
         assert header == ("step,rank_loss,flops_q,flops_d,clm,relu_clm,"
-                          "total,dead_frac,avg_nnz_q,avg_nnz_d,lr,step_ms")
+                          "total,dead_frac,avg_nnz_q,avg_nnz_d,lr,step_ms,"
+                          "grad_norm,dead_dims")
 
     def test_bm25_search_path(self, pipeline, tmp_path):
         _, data = pipeline

@@ -13,6 +13,7 @@ too; a run fails only after all its passes if one of them is gone.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +30,7 @@ BENCH = ROOT / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
@@ -125,6 +127,23 @@ def test_encode_texts_pools_once_per_text(probed, echo):
     # inference records no graph and calls no autodiff op
     ops = [name for name in tracer.names if name.startswith("autodiff.")]
     assert ops and [name for name in ops if _calls(tracer, name)] == []
+
+
+def test_finite_losses_counts_every_report_row(monkeypatch, tmp_path):
+    """The `train` check counts the finite `total` values of adapt.csv and
+    train.csv with workloads._finite_losses, which finds the column by name
+    in a report written by trainer.TrainReport."""
+    from csplade.trainer import TrainReport
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # workloads imports it by name
+    workloads = _load("workloads")
+    report = TrainReport()
+    for step in range(5):
+        report.append(step, rank_loss=1.0 + step, total=2.0 + step, step_ms=3.0,
+                      grad_norm=0.5, dead_dims=0.25)
+    report.append(5, total=float("nan"))
+    path = tmp_path / "train.csv"
+    report.to_csv(path)
+    assert workloads._finite_losses(path) == 5
 
 
 def test_run_record_reads_its_csplade_names():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from csplade import autodiff as ad
 from csplade.autodiff import Tensor
-from csplade.splade import (WEIGHT_FLOOR, LossBreakdown, RepsFormatError, SparseRep,
+from csplade.splade import (WEIGHT_FLOOR, RepsFormatError, SparseRep,
                             adaptation_loss_batch, flops_reg_t, pool_reps,
                             rank_loss_t, read_reps, splade_pool, write_reps)
 from conftest import dot_score, flops_reg, grad_check, rank_loss, to_dense
@@ -177,10 +177,6 @@ class TestScoringAndLosses:
         scores = q.data @ d.T
         shifted = float(ad.softmax_cross_entropy(Tensor(scores + 7.5, dtype=np.float64), pos).data)
         assert shifted == pytest.approx(base, abs=1e-5)
-
-    def test_loss_breakdown_total(self):
-        b = LossBreakdown.combine(1.0, 2.0, 3.0, 0.1, 0.2)
-        assert b.total == pytest.approx(1.0 + 0.2 + 0.6, abs=1e-6)
 
 
 def one_sequence(ids):

@@ -7,7 +7,6 @@ from csplade import autodiff as ad, trainer
 from csplade.autodiff import Tensor
 from csplade.corpus import SynthSpec, build_vocab, synth_generate, tokenize
 from csplade.encoder import BOS_ID, EncoderConfig, EncoderModel
-from csplade.splade import SparseRep
 from csplade.trainer import (AdamW, AdaptConfig, ContrastiveConfig,
                              TrainingDivergedError, TrainReport, cosine_lr,
                              dead_dim_fraction, empty_rep_fraction,
@@ -80,13 +79,16 @@ class TestHelpers:
         assert seq.ids[0] == BOS_ID
 
     def test_empty_rep_fraction(self):
-        empty = SparseRep([], [], 10)
-        full = SparseRep([1], [1.0], 10)
-        assert empty_rep_fraction([empty] * 3) == 1.0
-        assert empty_rep_fraction([full] * 3) == 0.0
-        assert empty_rep_fraction([empty] * 3 + [full] * 7) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            empty_rep_fraction([])
+        dense = np.zeros((10, 4), dtype=np.float32)
+        assert empty_rep_fraction(Tensor(dense)) == 1.0
+        dense[3:, 1] = 1.0
+        assert empty_rep_fraction(Tensor(dense)) == pytest.approx(0.3)
+        dense[:3, 2] = trainer.WEIGHT_FLOOR  # at the floor counts as empty
+        assert empty_rep_fraction(Tensor(dense)) == pytest.approx(0.3)
+        dense[:, 0] = 1.0
+        assert empty_rep_fraction(Tensor(dense)) == 0.0
+        with pytest.raises(ValueError, match="empty_rep_fraction"):
+            empty_rep_fraction(Tensor(np.zeros((0, 4), dtype=np.float32)))
 
 
 class TestDeadDimFraction:
@@ -94,38 +96,24 @@ class TestDeadDimFraction:
 
     def test_all_dead(self):
         assert dead_dim_fraction(Tensor(np.zeros((3, 8), dtype=np.float32))) == 1.0
-        assert dead_dim_fraction([SparseRep([], [], 8)] * 3) == 1.0
 
     def test_none_dead(self):
         dense = np.eye(4, dtype=np.float32)
         assert dead_dim_fraction(Tensor(dense)) == 0.0
-        reps = [SparseRep([i], [1.0], 4) for i in range(4)]
-        assert dead_dim_fraction(reps) == 0.0
 
     def test_one_live_column(self):
         dense = np.zeros((5, 10), dtype=np.float32)
         dense[2, 7] = 0.3
         assert dead_dim_fraction(Tensor(dense)) == pytest.approx(0.9)
-        reps = [SparseRep([], [], 10)] * 4 + [SparseRep([7], [0.3], 10)]
-        assert dead_dim_fraction(reps) == pytest.approx(0.9)
 
     def test_weights_at_the_floor_are_dead(self):
         dense = np.full((2, 4), trainer.WEIGHT_FLOOR, dtype=np.float64)
         dense[0, 1] = 2 * trainer.WEIGHT_FLOOR
         assert dead_dim_fraction(Tensor(dense)) == pytest.approx(0.75)
-        rep = SparseRep([0, 1], [trainer.WEIGHT_FLOOR / 2, 1.0], 4)
-        assert dead_dim_fraction([rep]) == pytest.approx(0.75)
-
-    def test_tensor_and_sparse_reps_agree(self):
-        rng = np.random.default_rng(4)
-        dense = np.maximum(rng.normal(size=(6, 30)), 0).astype(np.float32)
-        dense[:, rng.choice(30, 12, replace=False)] = 0.0
-        reps = [SparseRep(np.flatnonzero(row), row[row > 0], 30) for row in dense]
-        assert dead_dim_fraction(Tensor(dense)) == dead_dim_fraction(reps) >= 0.4
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="dead_dim_fraction"):
-            dead_dim_fraction([])
+            dead_dim_fraction(Tensor(np.zeros((0, 8), dtype=np.float32)))
 
 
 class TestEncodeTexts:
@@ -175,27 +163,48 @@ class TestEncodeTexts:
 
 
 class TestTrainReport:
+    HEADER = ("step,rank_loss,flops_q,flops_d,clm,relu_clm,total,dead_frac,"
+              "avg_nnz_q,avg_nnz_d,lr,step_ms,grad_norm,dead_dims")
+
     def test_csv_round_trip(self, tmp_path):
+        names = [name for name, _ in TrainReport.COLUMNS[1:]]
+        rows = [{name: 0.125 * (i + 1) + 0.5 * row for i, name in enumerate(names)}
+                for row in range(2)]
         r = TrainReport()
-        r.append(0, rank_loss=1.5, flops_q=0.1, flops_d=0.2, total=1.8,
-                 dead_frac=0.25, avg_nnz_q=3.0, avg_nnz_d=5.0, lr=1e-3,
-                 wall_clock=0.01)
-        r.append(1, rank_loss=1.2, total=1.2)
+        r.append(3, **rows[0])
+        r.append(7, **rows[1])
+        r.append(8, rank_loss=1.2)  # a column left out reads 0
         path = tmp_path / "report.csv"
         r.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == TrainReport.CSV_HEADER
-        assert lines[0].endswith(",step_ms") and lines[1].endswith(",10.000")
+        assert lines[0] == TrainReport.CSV_HEADER == self.HEADER
+        assert lines[1].split(",")[11] == "1.375"  # step_ms, as stored
         loaded = TrainReport.from_csv(path)
-        assert loaded.steps == [0, 1]
-        assert loaded.rank_loss == pytest.approx([1.5, 1.2])
-        assert loaded.dead_frac == pytest.approx([0.25, 0.0])
-        assert loaded.wall_clock == pytest.approx([0.01, 0.0])
+        assert len(loaded) == 3 and loaded.step == [3, 7, 8]
+        for name in names:
+            want = [rows[0][name], rows[1][name], 1.2 if name == "rank_loss" else 0.0]
+            assert getattr(loaded, name) == want, name
+        loaded.to_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_unknown_column_rejected(self):
+        r = TrainReport()
+        with pytest.raises(ValueError, match="rank_los$"):
+            r.append(0, rank_los=1.0)
+        assert len(r) == 0
+        with pytest.raises(AttributeError):
+            r.rank_los
 
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("step,loss\n0,1.0\n")
         with pytest.raises(ValueError, match="header"):
+            TrainReport.from_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(TrainReport.CSV_HEADER + "\n0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="short.csv:2"):
             TrainReport.from_csv(path)
 
 
@@ -251,12 +260,33 @@ class TestAdaptation:
         _, report = run_adaptation(small_model(vocab), corpus.values(), vocab,
                                    AdaptConfig(steps=3, warmup_steps=1, seq_len=16))
         assert len(seen) == 3
-        for (logits, span), nnz, dead in zip(seen, report.avg_nnz_d, report.dead_frac):
+        for (logits, span), nnz, dead, dims in zip(seen, report.avg_nnz_d, report.dead_frac,
+                                                   report.dead_dims):
             pooled = np.where(span[:, :, None], logits, -np.inf).max(axis=1)
-            counts = (np.log1p(np.maximum(pooled, 0)) > trainer.WEIGHT_FLOOR).sum(axis=1)
+            live = np.log1p(np.maximum(pooled, 0)) > trainer.WEIGHT_FLOOR
+            counts = live.sum(axis=1)
             assert nnz == pytest.approx(counts.mean()) and nnz > 0
             assert dead == pytest.approx((counts == 0).mean())
+            assert dims == pytest.approx(1.0 - live.any(axis=0).mean())
         assert report.avg_nnz_q == [0.0] * 3
+
+    def test_report_records_unclipped_grad_norm(self, small_data, monkeypatch):
+        """The adaptation row's grad_norm is the global norm of the grads
+        the optimizer step saw; adaptation does not clip."""
+        corpus, *_, vocab = small_data
+        seen = []
+        original_step = trainer.AdamW.step
+
+        def step_spy(self, lr):
+            grads = [p.grad for p in self.params.values() if p.grad is not None]
+            seen.append(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
+            return original_step(self, lr)
+
+        monkeypatch.setattr(trainer.AdamW, "step", step_spy)
+        _, report = run_adaptation(small_model(vocab), corpus.values(), vocab,
+                                   AdaptConfig(steps=3, warmup_steps=1, seq_len=16))
+        assert report.grad_norm == pytest.approx(seen, rel=1e-12)
+        assert all(norm > 0 for norm in report.grad_norm)
 
     def test_dead_start_reports_all_empty(self, small_data):
         corpus, *_, vocab = small_data
@@ -299,6 +329,43 @@ class TestContrastive:
                                     queries, vocab, cfg)
         for total, rank in zip(report.total, report.rank_loss):
             assert total == pytest.approx(rank, abs=1e-9)
+
+    def test_total_combines_the_three_terms(self, small_data):
+        """The recorded total is the backpropagated float32 loss
+        rank_loss + lambda_q * flops_q + lambda_d * flops_d."""
+        corpus, queries, _, triples, vocab = small_data
+        cfg = ContrastiveConfig(epochs=1, lambda_q=0.1, lambda_d=0.2, seed=0)
+        _, report = run_contrastive(small_model(vocab), triples, corpus,
+                                    queries, vocab, cfg)
+        assert len(report) > 0
+        for row in zip(report.total, report.rank_loss, report.flops_q, report.flops_d):
+            total, rank, fq, fd = row
+            assert fq > 0 and fd > 0
+            assert total == pytest.approx(rank + 0.1 * fq + 0.2 * fd, rel=1e-6)
+
+    def test_report_records_grad_norm_before_clipping(self, small_data, monkeypatch):
+        corpus, queries, _, triples, vocab = small_data
+        returned = []
+        original = trainer.clip_grad_norm
+
+        def spy(params, max_norm):
+            returned.append(original(params, max_norm))
+            return returned[-1]
+
+        monkeypatch.setattr(trainer, "clip_grad_norm", spy)
+        _, report = run_contrastive(small_model(vocab), triples, corpus, queries,
+                                    vocab, ContrastiveConfig(epochs=1, seed=0))
+        assert returned and report.grad_norm == returned
+        assert report.dead_dims and all(0.0 <= d < 1.0 for d in report.dead_dims)
+
+    def test_nan_aborts_with_the_three_terms(self, small_data):
+        corpus, queries, _, triples, vocab = small_data
+        model = small_model(vocab)
+        model.params["tok_emb"].data[:] = np.nan
+        with pytest.raises(TrainingDivergedError,
+                           match=r"contrastive step 0: .*rank_loss=nan, flops_q=nan, flops_d=nan"):
+            run_contrastive(model, triples, corpus, queries, vocab,
+                            ContrastiveConfig(epochs=1, seed=0))
 
     def test_deterministic_final_parameters(self, small_data):
         corpus, queries, _, triples, vocab = small_data
