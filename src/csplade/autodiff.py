@@ -9,10 +9,10 @@ leaf tensors). Inside `no_grad()` no op records a graph.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -48,7 +48,7 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 ATTN_NEG = -1e9  # exp(-1e9 - max) underflows to exactly 0.0, so masked
                  # positions contribute bit-exact zeros to attention sums
 
-LN_EPS = 1e-5  # layer_norm's default epsilon
+LN_EPS = 1e-5  # layer_norm's epsilon
 
 _grad_enabled = True
 
@@ -244,38 +244,26 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """a @ b. Either operand may carry leading batch dims; numpy rules apply.
+    """a @ b for a 2-D right operand; `a` may carry leading batch dims.
 
-    With a 2-D `b` the leading axes of `a` are folded into rows, so the
-    forward and both gradients are one GEMM each; the weight gradient is
-    a2.T @ g2 rather than one GEMM per batch entry and a sum.
+    The leading axes of `a` are folded into rows, so the forward and both
+    gradients are one GEMM each; the weight gradient is a2.T @ g2 rather
+    than one GEMM per batch entry and a sum.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[0 if b.ndim == 1 else -2]:
+    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    rows = a.ndim >= 2 and b.ndim == 2
-    if rows:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-    else:
-        data = np.matmul(a.data, b.data)
+    a2 = a.data.reshape(-1, a.shape[-1])
+    data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
     if not _needs_grad(a, b):
         return Tensor(data)
 
     def backward(g):
-        if rows:
-            g2 = g.reshape(-1, b.shape[1])
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a2.T @ g2)
-        else:
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
+        g2 = g.reshape(-1, b.shape[1])
+        if a.requires_grad:
+            a._accumulate((g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            b._accumulate(a2.T @ g2)
 
     return _make(data, (a, b), "matmul", backward)
 
@@ -292,8 +280,8 @@ def relu(a):
     return _make(data, (a,), "relu", backward)
 
 
-# Float32 GELU does not call scipy's erf, whose float32 loop is scalar code.
-# It uses Abramowitz & Stegun 7.1.26: erfc(z) = t P(t) exp(-z^2) with
+# Float32 GELU does not call a scalar erf loop (numpy has no erf). It uses
+# Abramowitz & Stegun 7.1.26: erfc(z) = t P(t) exp(-z^2) with
 # t = 1 / (1 + p z), |error| <= 1.5e-7. At z = |x| / sqrt 2 the factor
 # exp(-z^2) = exp(-x^2 / 2) is also the Gaussian of the derivative, so one
 # exp serves both. With K = sqrt 2 / p, t = K s for s = 1 / (K + |x|), and
@@ -312,12 +300,19 @@ _F32_NEG_HALF = np.array(-0.5, dtype=np.float32)
 _F32_INV_SQRT_2PI = np.array(_INV_SQRT_2PI, dtype=np.float32)
 
 
+def _erf(x):
+    """erf of a float64 array, by math.erf element by element. Only the
+    float64 GELU of gradient checks calls it, on small arrays."""
+    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _gelu(x, need_grad):
     """GELU(x) = x Phi(x) and, if need_grad, its derivative
     Phi(x) + x phi(x) (else None), in the dtype of x. Float64, the dtype of
-    gradient checks, uses scipy's erf; float32 the erfc above, in place."""
+    gradient checks, uses math.erf (`_erf`); float32 the erfc above, in
+    place."""
     if x.dtype != np.float32:
-        one_plus_erf = 1.0 + erf(x / _SQRT2)
+        one_plus_erf = 1.0 + _erf(x / _SQRT2)
         data = 0.5 * x * one_plus_erf
         if not need_grad:
             return data, None
@@ -549,7 +544,7 @@ def slice_axis(a, axis, start, stop):
     return _make(data, (a,), "slice_axis", backward)
 
 
-def _layer_norm(x, gain, bias, eps, need_grad):
+def _layer_norm(x, gain, bias, need_grad):
     """Layer norm of a plain array over its last axis, then scale and shift.
 
     Returns the output and, if need_grad, the (xhat, invstd) that the
@@ -565,7 +560,7 @@ def _layer_norm(x, gain, bias, eps, need_grad):
     xmu = x - mu
     var = np.add.reduce(np.square(xmu), axis=-1, keepdims=True)
     var /= d
-    var += eps
+    var += LN_EPS
     invstd = np.sqrt(var, out=var)
     np.divide(1.0, invstd, out=invstd)
     if need_grad:
@@ -579,14 +574,14 @@ def _layer_norm(x, gain, bias, eps, need_grad):
     return xhat, None
 
 
-def layer_norm(a, gain, bias, eps=LN_EPS):
+def layer_norm(a, gain, bias):
     """Normalize over the last axis, then scale and shift."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last dim {d}")
     need_grad = _needs_grad(a, gain, bias)
-    data, saved = _layer_norm(a.data, gain.data, bias.data, eps, need_grad)
+    data, saved = _layer_norm(a.data, gain.data, bias.data, need_grad)
     if not need_grad:
         return Tensor(data)
     xhat, invstd = saved

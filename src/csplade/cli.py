@@ -81,21 +81,34 @@ def write_manifest(path, subcommand, args, outputs, stats=None):
         f.write("\n")
 
 
-def _variant_of(args, model, retrain=False):
-    """Resolve --variant against the checkpoint's stored variant, which is
-    the only mode the library reads.
+def _resolve_checkpoint(args, model, vocab, vocab_name, retrain=False):
+    """Check a loaded checkpoint against the stage's other inputs.
 
-    Without --variant the checkpoint's variant is used (and recorded in
-    args). An explicit --variant may switch `model.cfg.variant` only when
-    `retrain` is set; an inference subcommand rejects a mismatch instead of
-    silently running the model in a mode it was not trained in.
+    A vocabulary whose size differs from the checkpoint's vocab_size is
+    rejected. --variant is resolved against the checkpoint's stored variant,
+    the only mode the library reads: without --variant the checkpoint's
+    variant is used (and recorded in args); an explicit --variant may switch
+    `model.cfg.variant` only when `retrain` is set, and an inference
+    subcommand rejects a mismatch instead of silently running the model in
+    a mode it was not trained in.
     """
+    if vocab.size != model.cfg.vocab_size:
+        raise ValueError(f"vocabulary {vocab_name} has {vocab.size} tokens but checkpoint "
+                         f"{args.model} has vocab_size {model.cfg.vocab_size}")
     if args.variant is None:
         args.variant = model.cfg.variant
     elif args.variant != model.cfg.variant and not retrain:
         raise ValueError(f"--variant {args.variant} conflicts with the checkpoint's "
                          f"mode {model.cfg.variant}; omit --variant to use it")
     model.cfg.variant = args.variant
+
+
+def _load_model(args, retrain=False):
+    """The --model checkpoint and its --vocab, checked by `_resolve_checkpoint`."""
+    model = EncoderModel.load(args.model)
+    vocab = corpus_mod.Vocabulary.load(args.vocab)
+    _resolve_checkpoint(args, model, vocab, args.vocab, retrain)
+    return model, vocab
 
 
 def cmd_synth(args):
@@ -118,16 +131,14 @@ def cmd_synth(args):
 
 def cmd_adapt(args):
     collection = corpus_mod.load_corpus(args.corpus)
-    if args.vocab and Path(args.vocab).exists():
+    if args.vocab:
         vocab = corpus_mod.Vocabulary.load(args.vocab)
     else:
         vocab = corpus_mod.build_vocab(collection.values(), size=args.vocab_size)
-    vocab_out = Path(args.vocab_out or (Path(args.out).with_suffix(".vocab.txt")))
-    vocab.save(vocab_out)
-
     if args.model:
         model = EncoderModel.load(args.model)
-        _variant_of(args, model, retrain=True)
+        _resolve_checkpoint(args, model, vocab, args.vocab or f"built from {args.corpus}",
+                            retrain=True)
     else:
         args.variant = args.variant or EncoderConfig.variant
         cfg = EncoderConfig(vocab_size=vocab.size, d_model=args.d_model,
@@ -135,6 +146,8 @@ def cmd_adapt(args):
                             max_seq_len=args.max_seq_len, variant=args.variant,
                             seed=args.seed)
         model = EncoderModel(cfg)
+    vocab_out = Path(args.vocab_out or (Path(args.out).with_suffix(".vocab.txt")))
+    vocab.save(vocab_out)
     cfg = AdaptConfig(steps=args.steps, batch_size=args.batch, seq_len=args.seq_len,
                       lr=args.lr, warmup_steps=args.warmup,
                       lambda_relu=args.lambda_relu, seed=args.seed)
@@ -149,12 +162,10 @@ def cmd_adapt(args):
 
 
 def cmd_train(args):
-    model = EncoderModel.load(args.model)
-    vocab = corpus_mod.Vocabulary.load(args.vocab)
+    model, vocab = _load_model(args, retrain=True)
     collection = corpus_mod.load_corpus(args.corpus)
     queries = corpus_mod.load_queries(args.queries)
     triples = corpus_mod.load_triples(args.triples)
-    _variant_of(args, model, retrain=True)
     cfg = ContrastiveConfig(
         epochs=args.epochs, global_batch_size=args.batch,
         hard_negatives_per_positive=args.hard_negs, lr=args.lr,
@@ -171,9 +182,7 @@ def cmd_train(args):
 
 
 def cmd_encode(args):
-    model = EncoderModel.load(args.model)
-    vocab = corpus_mod.Vocabulary.load(args.vocab)
-    _variant_of(args, model)
+    model, vocab = _load_model(args)
     texts = corpus_mod.load_tsv(args.input)
     reps = trainer.encode_texts(model, vocab, texts.values())
     splade.write_reps(args.out, zip(texts.keys(), reps))
@@ -210,9 +219,7 @@ def cmd_search(args):
         if not (args.index and args.model and args.vocab):
             raise ValueError("model search requires --index, --model and --vocab")
         idx = index_mod.deserialize(args.index)
-        model = EncoderModel.load(args.model)
-        vocab = corpus_mod.Vocabulary.load(args.vocab)
-        _variant_of(args, model)
+        model, vocab = _load_model(args)
         for qid, text in queries.items():
             rep = trainer.encode_texts(model, vocab, [text])[0]
             run[qid] = index_mod.search(idx, rep, args.k)
@@ -231,9 +238,7 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    model = EncoderModel.load(args.model)
-    vocab = corpus_mod.Vocabulary.load(args.vocab)
-    _variant_of(args, model)
+    model, vocab = _load_model(args)
     queries = corpus_mod.load_queries(args.queries)
     seqs = [trainer.prepare_sequence(t, vocab, model.cfg, model.cfg.variant == "echo")
             for t in queries.values()]

@@ -44,8 +44,18 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by `save`; blank lines are skipped. Raises
+        ParseError naming `path:line` for a token seen before."""
+        tokens, seen = [], set(RESERVED)
         with open(path, "r", encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
+            for lineno, line in enumerate(f, 1):
+                token = line.rstrip("\n")
+                if token in seen:
+                    raise ParseError(f"{path}:{lineno}: duplicate token {token!r}")
+                if token:
+                    seen.add(token)
+                    tokens.append(token)
+        return cls(tokens)
 
 
 def build_vocab(texts, size=None):

@@ -69,10 +69,15 @@ class EncoderConfig:
         for name in names:
             if name not in kv:
                 raise ValueError(f"encoder config is missing key {name!r}")
-        for key in kv:
+        for key, value in kv.items():
             if key not in names:
                 raise ValueError(f"encoder config has unknown key {key!r}")
-        return cls(**{k: v if k == "variant" else int(v) for k, v in kv.items()})
+            if key != "variant":
+                try:
+                    kv[key] = int(value)
+                except ValueError:
+                    raise ValueError(f"encoder config {key}={value!r} is not an integer") from None
+        return cls(**kv)
 
 
 @dataclass
@@ -147,9 +152,9 @@ def _init_params(cfg: EncoderConfig):
 class EncoderModel:
     """Decoder transformer; LM head is the transposed token embedding."""
 
-    def __init__(self, cfg: EncoderConfig, params=None):
+    def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        self.params = params if params is not None else _init_params(cfg)
+        self.params = _init_params(cfg)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -235,16 +240,16 @@ class EncoderModel:
         x = x.reshape(b * l, d)
         for i in range(cfg.n_layers):
             pre = f"layer{i}."
-            hn, _ = ad._layer_norm(x, pm[pre + "ln1_g"], pm[pre + "ln1_b"], ad.LN_EPS, False)
+            hn, _ = ad._layer_norm(x, pm[pre + "ln1_g"], pm[pre + "ln1_b"], False)
             q, k, v = (affine(hn, pre + "w" + c, pre + "b" + c).reshape(b, l, d) for c in "qkv")
             ctx, _ = ad._attention(q, k, v, banned, cfg.n_heads)
             x += affine(ctx.reshape(b * l, d), pre + "wo", pre + "bo")
 
-            hn, _ = ad._layer_norm(x, pm[pre + "ln2_g"], pm[pre + "ln2_b"], ad.LN_EPS, False)
+            hn, _ = ad._layer_norm(x, pm[pre + "ln2_g"], pm[pre + "ln2_b"], False)
             mid, _ = ad._gelu(affine(hn, pre + "w1", pre + "b1"), False)
             x += affine(mid, pre + "w2", pre + "b2")
 
-        x, _ = ad._layer_norm(x, pm["lnf_g"], pm["lnf_b"], ad.LN_EPS, False)
+        x, _ = ad._layer_norm(x, pm["lnf_g"], pm["lnf_b"], False)
         logits = x @ pm["tok_emb"].T
         logits += pm["logit_bias"]
         return logits.reshape(b, l, cfg.vocab_size)

@@ -91,10 +91,10 @@ def bm25_score(query_tokens, doc_tokens, stats: CollectionStats,
     return score
 
 
-def bm25_search(corpus, query_text, stats: CollectionStats, k,
-                k1=DEFAULT_K1, b=DEFAULT_B) -> SearchResult:
-    """Exhaustive BM25 over the collection `stats` was built from (`corpus`);
-    ties break by doc id ascending.
+def bm25_search(corpus, query_text, stats: CollectionStats, k) -> SearchResult:
+    """Exhaustive BM25 at k1 = DEFAULT_K1 and b = DEFAULT_B over the
+    collection `stats` was built from (`corpus`); ties break by doc id
+    ascending.
 
     Term at a time: each query term, in query order and repeats included,
     adds the float64 expression of `bm25_score` to the scores of the docs
@@ -102,6 +102,7 @@ def bm25_search(corpus, query_text, stats: CollectionStats, k,
     """
     if len(corpus) != stats.n_docs:
         raise ValueError(f"bm25_search: corpus has {len(corpus)} docs, stats {stats.n_docs}")
+    k1, b = DEFAULT_K1, DEFAULT_B
     acc = np.zeros(stats.n_docs, dtype=np.float64)
     for term in _terms(query_text):
         posting = stats.postings.get(term)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import varint_decode, varint_encode
 from .splade import SparseRep
 
 MAGIC = b"CSPIDX2"
@@ -49,7 +48,6 @@ class IndexFormatError(ValueError):
 
 @dataclass
 class PostingList:
-    term_id: int
     ordinals: np.ndarray   # strictly increasing uint32
     impacts: np.ndarray    # uint8/uint16 or float32 when unquantized
 
@@ -151,7 +149,7 @@ def build_index(reps, bits=8) -> InvertedIndex:
     ends = np.append(starts[1:], terms.size)
     postings = {}
     for t, a, b in zip(terms[starts].tolist(), starts.tolist(), ends.tolist()):
-        postings[t] = PostingList(t, ordinals[a:b], impacts[a:b])
+        postings[t] = PostingList(ordinals[a:b], impacts[a:b])
     return InvertedIndex(vocab_size, bits, float(scale), doc_ids, postings)
 
 
@@ -272,8 +270,36 @@ _NUMBERED = re.compile(r"(.*?)([0-9]+)", re.S)
 _MAX_RUN_DIGITS = 19  # run numbers stay below 2**64, the varint range
 
 
-def _uvarints(*values):
-    return varint_encode(np.array(values, dtype=np.uint64))
+def varint_encode(*values) -> bytes:
+    """Unsigned LEB128 of ints: seven bits per byte, low group first, the
+    high bit set on every byte but a value's last."""
+    out = bytearray()
+    for v in values:
+        while v >= 0x80:
+            out.append((v & 0x7F) | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
+def varint_decode(buf, count, pos=0):
+    """Decode `count` values at byte `pos`; returns (ints, end). A value cut
+    off or past 64 bits raises IndexFormatError naming its first byte."""
+    values = []
+    for _ in range(count):
+        start = pos
+        value = shift = 0
+        while True:
+            if pos >= len(buf) or (shift == 63 and buf[pos] > 1):
+                raise IndexFormatError(f"truncated or overlong varint at byte {start}")
+            byte = buf[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        values.append(value)
+    return values, pos
 
 
 def _split_numbered(doc_id):
@@ -299,10 +325,10 @@ def _doc_table_bytes(doc_ids):
                 j += 1
         if j - i == 1:
             raw = doc_ids[i].encode("utf-8")
-            chunks.extend((_uvarints(2 * len(raw)), raw))
+            chunks.extend((varint_encode(2 * len(raw)), raw))
         else:
             raw = prefix.encode("utf-8")
-            chunks.extend((_uvarints(2 * (j - i) + 1, len(raw)), raw, _uvarints(first)))
+            chunks.extend((varint_encode(2 * (j - i) + 1, len(raw)), raw, varint_encode(first)))
         i = j
     return b"".join(chunks)
 
@@ -368,7 +394,7 @@ def _postings_bytes(index):
     prev = -1
     for t in sorted(index.postings):
         plist = index.postings[t]
-        chunks.append(_uvarints(t - prev - 1, len(plist.ordinals)))
+        chunks.append(varint_encode(t - prev - 1, len(plist.ordinals)))
         prev = t
         chunks.append(ef_encode(plist.ordinals, index.doc_count))
         chunks.append(np.ascontiguousarray(plist.impacts).tobytes())
@@ -392,14 +418,6 @@ def index_size_bytes(index: InvertedIndex) -> int:
     return len(_index_bytes(index))
 
 
-def _read_varints(blob, count, pos):
-    try:
-        values, end = varint_decode(blob, count, pos)
-    except ValueError:
-        raise IndexFormatError(f"truncated or overlong varint at byte {pos}") from None
-    return [int(v) for v in values], end
-
-
 def _read_text(blob, pos, n, what):
     if pos + n > len(blob):
         raise IndexFormatError(f"truncated {what} at byte {pos}")
@@ -413,15 +431,15 @@ def _read_doc_table(blob, pos, doc_count):
     doc_ids = []
     while len(doc_ids) < doc_count:
         start = pos
-        (h,), pos = _read_varints(blob, 1, pos)
+        (h,), pos = varint_decode(blob, 1, pos)
         if not h & 1:
             doc_id, pos = _read_text(blob, pos, h >> 1, "doc id")
             doc_ids.append(doc_id)
             continue
         length = h >> 1
-        (n,), pos = _read_varints(blob, 1, pos)
+        (n,), pos = varint_decode(blob, 1, pos)
         prefix, pos = _read_text(blob, pos, n, "doc-id run prefix")
-        (first,), pos = _read_varints(blob, 1, pos)
+        (first,), pos = varint_decode(blob, 1, pos)
         if not 2 <= length <= doc_count - len(doc_ids):
             raise IndexFormatError(f"malformed doc-id run of length {length} at byte {start}")
         doc_ids.extend(f"{prefix}{first + i}" for i in range(length))
@@ -454,7 +472,7 @@ def deserialize(path) -> InvertedIndex:
     t = -1
     for _ in range(n_lists):
         start = pos
-        (gap, count), pos = _read_varints(blob, 2, pos)
+        (gap, count), pos = varint_decode(blob, 2, pos)
         t += gap + 1
         if t >= vocab_size:
             raise IndexFormatError(f"term id {t} >= vocab size {vocab_size} at byte {start}")
@@ -467,7 +485,7 @@ def deserialize(path) -> InvertedIndex:
         if not (impacts > 0).all() or not np.isfinite(impacts).all():
             raise IndexFormatError(f"impact not finite and positive at byte {pos}")
         pos += count * width
-        postings[t] = PostingList(t, ords, impacts)
+        postings[t] = PostingList(ords, impacts)
     if pos != len(blob):
         raise IndexFormatError(f"trailing bytes at offset {pos}")
     return InvertedIndex(vocab_size, bits, scale, doc_ids, postings)
@@ -494,5 +512,9 @@ def read_run(path):
             if len(parts) != 6:
                 raise IndexFormatError(f"{path}:{lineno}: expected 6 run columns")
             qid, _, docid, _, score, _ = parts
-            run.setdefault(qid, []).append((docid, float(score)))
+            try:
+                score = float(score)
+            except ValueError:
+                raise IndexFormatError(f"{path}:{lineno}: bad score {score!r}") from None
+            run.setdefault(qid, []).append((docid, score))
     return run

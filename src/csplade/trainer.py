@@ -27,6 +27,12 @@ from .splade import (WEIGHT_FLOOR, adaptation_loss_batch, flops_reg_t, pool_reps
 # sparsity and make the trained quality depend on the seed.
 GRAD_CLIP_NORM = 1.0
 
+# AdamW hyperparameters (Loshchilov & Hutter 2019); both phases use these.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -136,18 +142,18 @@ def cosine_lr(step, total_steps, warmup_steps, peak):
 
 
 class AdamW:
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+    """AdamW with decoupled weight decay; hyperparameters are the ADAM_* and
+    WEIGHT_DECAY constants."""
+
+    def __init__(self, params):
         self.params = dict(params)
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for k, p in self.params.items():
@@ -168,10 +174,10 @@ class AdamW:
             v += tmp
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += ADAM_EPS
             update = np.divide(m, bc1)
             update /= tmp
-            np.multiply(p.data, self.weight_decay, out=tmp)
+            np.multiply(p.data, WEIGHT_DECAY, out=tmp)
             update += tmp
             update *= np.float32(lr)
             p.data -= update
@@ -338,13 +344,14 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
         order = rng.permutation(len(triples))
         for b0 in range(0, len(order), cfg.global_batch_size):
             chosen = order[b0: b0 + cfg.global_batch_size]
-            q_seqs, d_seqs = [], []
+            q_seqs, d_seqs, positives = [], [], []
             for ti in chosen:
                 triple = triples[ti]
                 q_seqs.append(seq_for(queries, ("q", triple["query_id"])))
                 pos_id = triple["positive_ids"][0]
                 if len(triple["positive_ids"]) > 1:
                     pos_id = triple["positive_ids"][int(rng.integers(len(triple["positive_ids"])))]
+                positives.append(len(d_seqs))  # triples may add unequal numbers of docs
                 d_seqs.append(seq_for(corpus, ("d", pos_id)))
                 pool = triple["negative_ids"]
                 if h > 0 and pool:
@@ -354,11 +361,9 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
 
             t0 = time.perf_counter()
             optimizer.zero_grad()
-            docs_per_query = len(d_seqs) // len(q_seqs)
             q_reps = encode_reps_tensor(model, q_seqs)
             d_reps = encode_reps_tensor(model, d_seqs)
-            positives = np.arange(len(q_seqs)) * docs_per_query
-            rank = splade.rank_loss_t(q_reps, d_reps, positives)
+            rank = splade.rank_loss_t(q_reps, d_reps, np.array(positives))
             fq = flops_reg_t(q_reps)
             fd = flops_reg_t(d_reps)
             total = ad.add(rank, ad.add(ad.scale(fq, cfg.lambda_q),

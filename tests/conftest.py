@@ -131,7 +131,7 @@ def build_index_dicts(reps, bits=8):
         else:
             q = np.maximum(1, np.round(weights / scale * (2 ** bits - 1)))
             impacts = q.astype(_impact_dtype(bits))
-        postings[t] = PostingList(t, ords, impacts)
+        postings[t] = PostingList(ords, impacts)
     return InvertedIndex(vocab_size if vocab_size is not None else 0,
                          bits, float(scale), doc_ids, postings)
 
@@ -181,26 +181,27 @@ def attention_chain(q, k, v, banned, heads):
         return ad.transpose(ad.reshape(t, (b, l, heads, dh)), (0, 2, 1, 3))
 
     q4, k4, v4 = split(q), split(k), split(v)
-    scores = ad.scale(ad.matmul(q4, ad.transpose(k4, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    scores = ad.scale(batched_matmul(q4, ad.transpose(k4, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     scores = ad.masked_fill(scores, banned, ad.ATTN_NEG)
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), v4)
+    ctx = batched_matmul(ad.softmax(scores, axis=-1), v4)
     return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, l, d))
 
 
 def slice_by_matmul(a, axis, start, stop):
     """Leading entries of axis -2 by multiplying with rows of an identity
     matrix: the selection autodiff.slice_axis replaced."""
-    from csplade import autodiff as ad
     from csplade.autodiff import Tensor
     assert start == 0 and axis % a.ndim == a.ndim - 2
     sel = np.eye(a.shape[axis], dtype=a.data.dtype)[:stop]
-    return ad.matmul(Tensor(sel), a)
+    return batched_matmul(Tensor(sel), a)
 
 
 def batched_matmul(a, b):
     """a @ b as a node whose forward and gradients are numpy batched
     matmuls (one GEMM per batch entry) reduced by autodiff._unbroadcast:
-    the matmul that autodiff.matmul replaced for a 2-D right operand."""
+    the matmul that autodiff.matmul replaced for a 2-D right operand. The
+    chains above also use it for right operands with batch dims, which
+    autodiff.matmul rejects."""
     from csplade import autodiff as ad
     data = np.matmul(a.data, b.data)
 

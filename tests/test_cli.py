@@ -332,6 +332,39 @@ class TestErrors:
         else:
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_adapt_missing_vocab_rejected(self, synth_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", 2,
+                       "--warmup", 1, "--vocab", tmp_path / "nope.txt",
+                       "--out", tmp_path / "a.ckpt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError:") and "nope.txt" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand", ["adapt", "train", "encode", "search", "bench"])
+    def test_vocab_of_another_size_rejected(self, pipeline, tmp_path, capsys, monkeypatch,
+                                            subcommand):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        work, data = pipeline
+        vocab = tmp_path / "other.vocab.txt"
+        vocab.write_text((work / "vocab.txt").read_text() + "extra_token\n")
+        model = work / ("adapted.ckpt" if subcommand in ("adapt", "train") else "trained.ckpt")
+        out = tmp_path / "out"
+        args = {"adapt": ["--corpus", data / "corpus.tsv", "--steps", 2, "--warmup", 1,
+                          "--vocab-out", tmp_path / "v.txt"],
+                "train": ["--triples", data / "triples.jsonl", "--corpus", data / "corpus.tsv",
+                          "--queries", data / "queries.tsv"],
+                "encode": ["--input", data / "corpus.tsv"],
+                "search": ["--queries", data / "queries.tsv", "--index", work / "index.bin"],
+                "bench": ["--queries", data / "queries.tsv"]}[subcommand]
+        assert run_cli(subcommand, "--model", model, "--vocab", vocab, *args,
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: vocabulary") and err.count("\n") == 1
+        assert str(vocab) in err and str(model) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.vocab.txt"]
+
     def test_bm25_requires_corpus(self, pipeline, tmp_path, capsys):
         _, data = pipeline
         assert run_cli("search", "--queries", data / "queries.tsv",

@@ -39,6 +39,12 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="duplicate"):
             Vocabulary(["a", "a"])
 
+    def test_load_names_line_of_duplicate_token(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\nb\n\na\n")
+        with pytest.raises(ParseError, match=f"{path}:4: duplicate token 'a'"):
+            Vocabulary.load(path)
+
 
 class TestTokenize:
     def test_basic(self):

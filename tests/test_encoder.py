@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key 'dropout'"):
             EncoderConfig.from_text(text)
 
+    def test_non_integer_value_named(self):
+        text = EncoderConfig(vocab_size=33).to_text().replace("d_model=64", "d_model=6.4")
+        with pytest.raises(ValueError, match="config d_model='6.4' is not an integer"):
+            EncoderConfig.from_text(text)
+
 
 class TestForward:
     def test_single_token_shape(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csplade import evalkit
 from csplade.evalkit import (DEFAULT_B, DEFAULT_K1, bm25_score, bm25_search,
                              build_stats, metrics_csv, mrr_at_k, ndcg_at_k,
                              recall_at_k)
@@ -75,11 +76,12 @@ class TestBM25MatchesLoop:
     every doc in a Python loop. Ids and float64 scores must be equal."""
 
     @staticmethod
-    def _check(corpus, query, k, **params):
+    def _check(corpus, query, k):
         from conftest import bm25_search_loop
         stats = build_stats(corpus)
-        got = bm25_search(corpus, query, stats, k, **params)
-        want_ids, want_scores = bm25_search_loop(corpus, query, stats, k, **params)
+        got = bm25_search(corpus, query, stats, k)
+        want_ids, want_scores = bm25_search_loop(corpus, query, stats, k,
+                                                 k1=evalkit.DEFAULT_K1, b=evalkit.DEFAULT_B)
         assert got.doc_ids == want_ids
         assert got.scores.dtype == np.float64
         assert got.scores.tobytes() == want_scores.tobytes()
@@ -95,12 +97,15 @@ class TestBM25MatchesLoop:
             query = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(0, 5))))
             self._check(corpus, query, int(rng.integers(0, n + 3)))
 
-    def test_ties_repeats_and_params(self):
+    def test_ties_repeats_and_params(self, monkeypatch):
         corpus = {"b": "x y", "a": "x y", "c": "x x y", "e": "", "d": "y y y y"}
-        for query in ("x", "x x y", "y x y", "z", "X"):
-            for k in (1, 2, 3, 10):
-                self._check(corpus, query, k)
-                self._check(corpus, query, k, k1=1.2, b=0.0)
+        for k1, b in ((DEFAULT_K1, DEFAULT_B), (1.2, 0.0)):
+            # bm25_search reads the module constants when called
+            monkeypatch.setattr(evalkit, "DEFAULT_K1", k1)
+            monkeypatch.setattr(evalkit, "DEFAULT_B", b)
+            for query in ("x", "x x y", "y x y", "z", "X"):
+                for k in (1, 2, 3, 10):
+                    self._check(corpus, query, k)
 
     def test_empty_documents_only(self):
         self._check({"d1": "", "d2": ""}, "a", 5)

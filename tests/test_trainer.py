@@ -322,6 +322,44 @@ class TestContrastive:
         assert qb == 2 and db == 4  # 1 positive + 3 negatives per query
         assert positives.tolist() == [0, 2]
 
+    def test_positive_columns_with_unequal_negatives(self, monkeypatch):
+        """Triples with 3 and 1 hard negatives give 6 document columns; each
+        query's positive column holds its own positive document, whichever
+        triple the batch takes first."""
+        corpus = {"p1": "alpha beta", "n1a": "gamma", "n1b": "delta", "n1c": "epsilon",
+                  "p2": "zeta eta", "n2a": "theta"}
+        queries = {"q1": "alpha", "q2": "zeta"}
+        triples = [{"query_id": "q1", "positive_ids": ["p1"],
+                    "negative_ids": ["n1a", "n1b", "n1c"]},
+                   {"query_id": "q2", "positive_ids": ["p2"], "negative_ids": ["n2a"]}]
+        vocab = build_vocab([*corpus.values(), *queries.values()])
+        model = small_model(vocab)
+        key = {}
+        for texts in (corpus, queries):
+            for name, text in texts.items():
+                key[tuple(prepare_sequence(text, vocab, model.cfg, False).ids)] = name
+        batches, calls = [], []
+        encode, rank_loss = trainer.encode_reps_tensor, trainer.splade.rank_loss_t
+
+        def encode_spy(model, seqs):
+            batches.append([key[tuple(s.ids)] for s in seqs])
+            return encode(model, seqs)
+
+        def rank_spy(q_reps, d_reps, positives):
+            calls.append((batches[-2], batches[-1], positives.tolist()))
+            return rank_loss(q_reps, d_reps, positives)
+
+        monkeypatch.setattr(trainer, "encode_reps_tensor", encode_spy)
+        monkeypatch.setattr(trainer.splade, "rank_loss_t", rank_spy)
+        cfg = ContrastiveConfig(epochs=4, global_batch_size=2,
+                                hard_negatives_per_positive=3, seed=0)
+        run_contrastive(model, triples, corpus, queries, vocab, cfg)
+        assert len(calls) == 4
+        for qs, ds, positives in calls:
+            assert len(ds) == 6
+            assert [ds[c] for c in positives] == [{"q1": "p1", "q2": "p2"}[q] for q in qs]
+        assert {tuple(qs) for qs, _, _ in calls} == {("q1", "q2"), ("q2", "q1")}
+
     def test_lambda_zero_total_is_rank_loss(self, small_data):
         corpus, queries, _, triples, vocab = small_data
         cfg = ContrastiveConfig(epochs=1, lambda_q=0.0, lambda_d=0.0, seed=0)
@@ -507,7 +545,7 @@ class TestAdamW:
         from csplade.autodiff import Tensor
         p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
         p.grad = np.array([2.0], dtype=np.float32)
-        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt = AdamW({"p": p})
         before = p.data.copy()
         opt.step(0.1)
         assert p.data[0] < before[0]
@@ -529,7 +567,7 @@ class TestAdamW:
                               requires_grad=True) for k, s in shapes.items()}
 
         mine, ref = params(), params()
-        opt = AdamW(mine, weight_decay=0.05)
+        opt = AdamW(mine)
         state = {"t": 0, "m": {k: np.zeros(s, np.float32) for k, s in shapes.items()},
                  "v": {k: np.zeros(s, np.float32) for k, s in shapes.items()}}
         frozen = ref["frozen"].data.copy()
@@ -538,7 +576,7 @@ class TestAdamW:
                 g = (rng.normal(size=shapes[k]) * 10.0 ** (step - 2)).astype(np.float32)
                 mine[k].grad, ref[k].grad = g, g.copy()
             opt.step(lr)
-            adamw_step_reference(ref, state, lr, weight_decay=0.05)
+            adamw_step_reference(ref, state, lr)
             for k in shapes:
                 assert mine[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
                 assert opt.m[k].tobytes() == state["m"][k].tobytes(), (step, k)
