@@ -4,7 +4,9 @@ Just enough op coverage to train the toy encoder: matmuls, pointwise
 nonlinearities, reductions, layer norm, softmax, cross-entropy, slicing
 and a fused multi-head attention node. Training runs in float32; gradient
 checking should be done in float64 (pass dtype=np.float64 when building the
-leaf tensors). Inside `no_grad()` no op records a graph.
+leaf tensors). Every op computes its data, defines its backward and
+returns through `_make`, the one place that decides whether to record a
+graph node: never inside `no_grad()`, and only when an input requires grad.
 """
 
 from __future__ import annotations
@@ -185,6 +187,10 @@ def _unbroadcast(grad, shape):
 
 
 def _make(data, parents, op, backward):
+    """A graph node of `op` over `parents`, or a plain Tensor of `data`
+    when recording is off (`no_grad()`) or no parent requires grad."""
+    if not _needs_grad(*parents):
+        return Tensor(data)
     out = Tensor(data, requires_grad=True, _parents=parents, _op=op)
     out._backward = backward
     return out
@@ -196,8 +202,6 @@ def add(a, b):
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-    if not _needs_grad(a, b):
-        return Tensor(data)
 
     def backward(g):
         if a.requires_grad:
@@ -218,8 +222,6 @@ def mul(a, b):
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-    if not _needs_grad(a, b):
-        return Tensor(data)
 
     def backward(g):
         if a.requires_grad:
@@ -234,8 +236,6 @@ def scale(a, c):
     a = _as_tensor(a)
     c = float(c)
     data = a.data * c
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         a._accumulate(g * c)
@@ -255,8 +255,6 @@ def matmul(a, b):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     a2 = a.data.reshape(-1, a.shape[-1])
     data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-    if not _needs_grad(a, b):
-        return Tensor(data)
 
     def backward(g):
         g2 = g.reshape(-1, b.shape[1])
@@ -271,8 +269,6 @@ def matmul(a, b):
 def relu(a):
     a = _as_tensor(a)
     data = np.maximum(a.data, 0)
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         a._accumulate(g * (a.data > 0))
@@ -350,13 +346,10 @@ def _gelu(x, need_grad):
 
 
 def gelu(a):
-    """Exact (erf-form) GELU, evaluated in the input's dtype. The forward of
-    a node that records a graph also finishes the derivative its backward
-    needs."""
+    """Exact (erf-form) GELU, evaluated in the input's dtype. The forward
+    also finishes the derivative the backward needs."""
     a = _as_tensor(a)
-    data, deriv = _gelu(a.data, _needs_grad(a))
-    if deriv is None:
-        return Tensor(data)
+    data, deriv = _gelu(a.data, True)
 
     def backward(g):
         a._accumulate(g * deriv)
@@ -372,8 +365,6 @@ def reparam_relu(a):
     """
     a = _as_tensor(a)
     data = np.maximum(a.data, 0)
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         a._accumulate(g * _gelu(a.data, True)[1])
@@ -384,8 +375,6 @@ def reparam_relu(a):
 def log1p(a):
     a = _as_tensor(a)
     data = np.log1p(a.data)
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         a._accumulate(g / (1.0 + a.data))
@@ -396,8 +385,6 @@ def log1p(a):
 def exp(a):
     a = _as_tensor(a)
     data = np.exp(a.data)
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         a._accumulate(g * data)
@@ -408,12 +395,9 @@ def exp(a):
 def transpose(a, axes=None):
     a = _as_tensor(a)
     data = np.transpose(a.data, axes)
-    if not _needs_grad(a):
-        return Tensor(data)
-    inv = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        a._accumulate(np.transpose(g, inv))
+        a._accumulate(np.transpose(g, None if axes is None else np.argsort(axes)))
 
     return _make(data, (a,), "transpose", backward)
 
@@ -424,8 +408,6 @@ def reshape(a, shape):
         data = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         a._accumulate(g.reshape(a.shape))
@@ -439,11 +421,9 @@ def max_over_axis(a, axis):
     if a.shape[axis] == 0:
         raise ShapeError(f"max_over_axis: empty axis {axis} of shape {a.shape}")
     data = a.data.max(axis=axis)
-    if not _needs_grad(a):
-        return Tensor(data)
-    idx = np.expand_dims(a.data.argmax(axis=axis), axis)
 
     def backward(g):
+        idx = np.expand_dims(a.data.argmax(axis=axis), axis)
         full = np.zeros_like(a.data)
         np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
         a._accumulate(full)
@@ -454,8 +434,6 @@ def max_over_axis(a, axis):
 def sum_over_axis(a, axis=None):
     a = _as_tensor(a)
     data = a.data.sum(axis=axis)
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         if axis is None:
@@ -484,25 +462,23 @@ def embedding(weight, ids):
     """Row lookup: ids of any integer shape -> ids.shape + (d,).
 
     The backward groups the gradient rows by id with a stable sort of the
-    ids, made once when the graph is recorded, and sums every group with
-    one np.add.reduceat.
+    ids (made in the backward, so never under `no_grad()`) and sums every
+    group with one np.add.reduceat.
     """
     weight = _as_tensor(weight)
     ids = np.asarray(ids)
     data = _embedding(weight.data, ids)
-    if not _needs_grad(weight):
-        return Tensor(data)
-    flat = ids.ravel()
-    order = np.argsort(flat, kind="stable")
-    grouped = flat[order]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))  # first row of each id
-    rows = grouped[starts]
 
     def backward(g):
         # a copy, never the existing grad: grads may be shared (see _accumulate)
         grad = np.zeros_like(weight.data) if weight.grad is None else weight.grad.copy()
+        flat = ids.ravel()
         if flat.size:
-            grad[rows] += np.add.reduceat(g.reshape(-1, weight.shape[1])[order], starts, axis=0)
+            order = np.argsort(flat, kind="stable")
+            grouped = flat[order]
+            starts = np.flatnonzero(np.diff(grouped, prepend=-1))  # first row of each id
+            sums = np.add.reduceat(g.reshape(-1, weight.shape[1])[order], starts, axis=0)
+            grad[grouped[starts]] += sums
         weight.grad = grad
 
     return _make(data, (weight,), "embedding", backward)
@@ -513,8 +489,6 @@ def masked_fill(a, mask, value):
     a = _as_tensor(a)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     data = np.where(mask, np.asarray(value, dtype=a.dtype), a.data)
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         a._accumulate(np.where(mask, 0.0, g))
@@ -533,8 +507,6 @@ def slice_axis(a, axis, start, stop):
         raise ShapeError(f"slice_axis: axis {axis} out of range for shape {a.shape}")
     key = (slice(None),) * (axis % a.ndim) + (slice(start, stop),)
     data = np.ascontiguousarray(a.data[key])
-    if not _needs_grad(a):
-        return Tensor(data)
 
     def backward(g):
         full = np.zeros_like(a.data)
@@ -580,11 +552,7 @@ def layer_norm(a, gain, bias):
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last dim {d}")
-    need_grad = _needs_grad(a, gain, bias)
-    data, saved = _layer_norm(a.data, gain.data, bias.data, need_grad)
-    if not need_grad:
-        return Tensor(data)
-    xhat, invstd = saved
+    data, (xhat, invstd) = _layer_norm(a.data, gain.data, bias.data, True)
 
     def backward(g):
         if gain.requires_grad:
@@ -605,8 +573,6 @@ def softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    if not _needs_grad(a):
-        return Tensor(p)
 
     def backward(g):
         dot = (g * p).sum(axis=axis, keepdims=True)
@@ -670,8 +636,6 @@ def attention(q, k, v, banned, heads):
     mask = None if banned is None else np.broadcast_to(np.asarray(banned, dtype=bool),
                                                        (b, heads, l, l))
     data, (q4, kt, v4, p, c) = _attention(q.data, k.data, v.data, mask, heads)
-    if not _needs_grad(q, k, v):
-        return Tensor(data)
 
     def merge(g4):  # (B, H, L, dh) -> (B, L, d) copy
         return g4.transpose(0, 2, 1, 3).reshape(b, l, d)
@@ -718,8 +682,6 @@ def softmax_cross_entropy(logits, targets, weights=None):
     logz = np.log(np.exp(shifted).sum(axis=1))
     nll = logz - shifted[np.arange(n), targets]
     data = np.asarray((w * nll).sum() / wsum, dtype=logits.dtype)
-    if not _needs_grad(logits):
-        return Tensor(data)
 
     def backward(g):
         p = np.exp(shifted - logz[:, None])

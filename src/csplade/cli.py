@@ -337,7 +337,7 @@ def build_parser():
     p = sub.add_parser("index", help="build the impact-quantized inverted index")
     p.add_argument("--reps", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--bits", type=int, default=8, choices=(0, 8, 16))
+    p.add_argument("--bits", type=int, default=8, choices=sorted(index_mod.IMPACT_DTYPES))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 

@@ -58,12 +58,18 @@ class Vocabulary:
         return cls(tokens)
 
 
+def words(text):
+    """The lower-cased whitespace-separated words of `text`: the one word
+    split of the vocabulary, the tokenizer and BM25."""
+    return text.lower().split()
+
+
 def build_vocab(texts, size=None):
     """Frequency-ranked whitespace vocabulary; ties broken by first occurrence."""
     counts = {}
     order = {}
     for text in texts:
-        for tok in text.lower().split():
+        for tok in words(text):
             counts[tok] = counts.get(tok, 0) + 1
             order.setdefault(tok, len(order))
     ranked = sorted(counts, key=lambda t: (-counts[t], order[t]))
@@ -76,7 +82,7 @@ def tokenize(text, vocab: Vocabulary, max_len=64) -> TokenSequence:
     """[BOS] + ids + [EOS], truncated to max_len; span = content + EOS."""
     if max_len < 2:
         raise ValueError(f"tokenize: max_len must be >= 2 (BOS and EOS), got {max_len}")
-    ids = [vocab.lookup(t) for t in text.lower().split()]
+    ids = [vocab.lookup(t) for t in words(text)]
     if len(ids) + 2 > max_len:
         ids = ids[: max_len - 2]
     seq = np.array([BOS_ID] + ids + [EOS_ID], dtype=np.int64)

@@ -289,6 +289,10 @@ class EncoderModel:
             if len(raw) != p.data.size * 4:
                 raise ValueError(f"checkpoint truncated at parameter {name}")
             p.data = np.frombuffer(raw, dtype="<f4").reshape(p.data.shape).astype(np.float32)
+            # a float64 sum of float32 values cannot overflow: it is finite
+            # exactly when every weight is, with no array-sized temporary
+            if not np.isfinite(p.data.sum(dtype=np.float64)):
+                raise ValueError(f"non-finite weights in {name}")
         if buf.read(1):
             raise ValueError("trailing bytes after final parameter block")
         return model

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import words
 from .index import SearchResult
 
 DEFAULT_K1 = 0.9
@@ -40,10 +41,6 @@ class CollectionStats:
         return out
 
 
-def _terms(text):
-    return text.lower().split()
-
-
 def build_stats(corpus) -> CollectionStats:
     """corpus: dict doc_id -> raw text."""
     doc_ids = list(corpus)
@@ -52,7 +49,7 @@ def build_stats(corpus) -> CollectionStats:
     token_ids = []
     lengths = np.empty(n, dtype=np.int64)
     for i, text in enumerate(corpus.values()):
-        toks = _terms(text)
+        toks = words(text)
         lengths[i] = len(toks)
         token_ids.extend([vocab.setdefault(t, len(vocab)) for t in toks])
     # one key per (term, doc) occurrence; unique keys sort by term, then doc
@@ -104,7 +101,7 @@ def bm25_search(corpus, query_text, stats: CollectionStats, k) -> SearchResult:
         raise ValueError(f"bm25_search: corpus has {len(corpus)} docs, stats {stats.n_docs}")
     k1, b = DEFAULT_K1, DEFAULT_B
     acc = np.zeros(stats.n_docs, dtype=np.float64)
-    for term in _terms(query_text):
+    for term in words(query_text):
         posting = stats.postings.get(term)
         if posting is None:
             continue

@@ -41,6 +41,9 @@ from .splade import SparseRep
 MAGIC = b"CSPIDX2"
 _HEADER = struct.Struct("<IIBf")  # vocab_size, doc_count, bits, scale (13 bytes)
 
+# impact width in bits -> impact dtype; 0 keeps the float32 weights
+IMPACT_DTYPES = {0: np.float32, 8: np.uint8, 16: np.uint16}
+
 
 class IndexFormatError(ValueError):
     pass
@@ -85,18 +88,14 @@ class InvertedIndex:
         return self.scale / (2 ** self.bits - 1)
 
 
-def _impact_dtype(bits):
-    return {0: np.float32, 8: np.uint8, 16: np.uint16}[bits]
-
-
 def build_index(reps, bits=8) -> InvertedIndex:
     """reps: iterable of (doc_id, SparseRep); ordinals follow input order.
 
     Every posting list is a view into one array of ordinals and one of
     impacts, both in (term, ordinal) order.
     """
-    if bits not in (0, 8, 16):
-        raise ValueError(f"bits must be 0, 8 or 16, got {bits}")
+    if bits not in IMPACT_DTYPES:
+        raise ValueError(f"bits must be one of {sorted(IMPACT_DTYPES)}, got {bits}")
     doc_ids = []
     seen = set()
     term_arrays, weight_arrays = [], []
@@ -140,7 +139,7 @@ def build_index(reps, bits=8) -> InvertedIndex:
         q *= 2 ** bits - 1
         np.round(q, out=q)
         np.maximum(q, 1, out=q)
-        impacts = q.astype(_impact_dtype(bits))
+        impacts = q.astype(IMPACT_DTYPES[bits])
         del q
 
     first = np.ones(terms.size, dtype=bool)  # first posting of each term
@@ -458,8 +457,10 @@ def deserialize(path) -> InvertedIndex:
         vocab_size, doc_count, bits, scale = _HEADER.unpack_from(blob, pos)
     except struct.error:
         raise IndexFormatError(f"truncated header at byte {pos}") from None
-    if bits not in (0, 8, 16):
+    if bits not in IMPACT_DTYPES:
         raise IndexFormatError(f"bad impact width {bits} at byte {pos + 8}")
+    if not (np.isfinite(scale) and scale > 0):
+        raise IndexFormatError(f"scale {scale} not finite and positive at byte {pos + 9}")
     pos += _HEADER.size
     doc_ids, pos = _read_doc_table(blob, pos, doc_count)
     if pos + 4 > len(blob):
@@ -467,7 +468,7 @@ def deserialize(path) -> InvertedIndex:
     (n_lists,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     postings = {}
-    dtype = _impact_dtype(bits)
+    dtype = IMPACT_DTYPES[bits]
     width = np.dtype(dtype).itemsize
     t = -1
     for _ in range(n_lists):

@@ -7,7 +7,7 @@ from csplade.autodiff import Tensor
 from csplade.corpus import SynthSpec, build_vocab, synth_generate
 from csplade.encoder import BOS_ID, EOS_ID, PAD_ID, EncoderConfig, EncoderModel
 from csplade.evalkit import mrr_at_k
-from csplade.index import (InvertedIndex, PostingList, SearchResult, _impact_dtype,
+from csplade.index import (IMPACT_DTYPES, InvertedIndex, PostingList, SearchResult,
                            build_index, search)
 from csplade.splade import SparseRep
 from csplade.trainer import encode_texts
@@ -130,7 +130,7 @@ def build_index_dicts(reps, bits=8):
             impacts = weights.astype(np.float32)
         else:
             q = np.maximum(1, np.round(weights / scale * (2 ** bits - 1)))
-            impacts = q.astype(_impact_dtype(bits))
+            impacts = q.astype(IMPACT_DTYPES[bits])
         postings[t] = PostingList(ords, impacts)
     return InvertedIndex(vocab_size if vocab_size is not None else 0,
                          bits, float(scale), doc_ids, postings)

@@ -404,6 +404,79 @@ class TestNoGrad:
         assert ad.gelu(x).requires_grad
 
 
+_RNG = np.random.default_rng(21)
+_X, _K, _V = (_RNG.random((2, 3, 4)).astype(np.float32) for _ in range(3))
+_ROW = _RNG.random(4).astype(np.float32)
+# op -> (the arrays of its tensor inputs, the call on those tensors)
+OP_CALLS = {
+    "add": ([_X, _ROW], ad.add),
+    "sub": ([_X, _ROW], ad.sub),
+    "mul": ([_X, _ROW], ad.mul),
+    "scale": ([_X], lambda a: ad.scale(a, 0.5)),
+    "matmul": ([_X, _RNG.random((4, 2)).astype(np.float32)], ad.matmul),
+    "relu": ([_X], ad.relu),
+    "gelu": ([_X], ad.gelu),
+    "reparam_relu": ([_X], ad.reparam_relu),
+    "log1p": ([_X], ad.log1p),
+    "exp": ([_X], ad.exp),
+    "transpose": ([_X], lambda a: ad.transpose(a, (2, 0, 1))),
+    "reshape": ([_X], lambda a: ad.reshape(a, (6, 4))),
+    "max_over_axis": ([_X], lambda a: ad.max_over_axis(a, 1)),
+    "sum_over_axis": ([_X], lambda a: ad.sum_over_axis(a, 1)),
+    "mean_over_axis": ([_X], lambda a: ad.mean_over_axis(a, 1)),
+    "embedding": ([_RNG.random((5, 4)).astype(np.float32)],
+                  lambda w: ad.embedding(w, [[1, 4, 1]])),
+    "masked_fill": ([_X], lambda a: ad.masked_fill(a, np.eye(3, 4, dtype=bool), 0.0)),
+    "slice_axis": ([_X], lambda a: ad.slice_axis(a, 1, 0, 2)),
+    "layer_norm": ([_X, _ROW, _ROW[::-1].copy()], ad.layer_norm),
+    "softmax": ([_X], ad.softmax),
+    "attention": ([_X, _K, _V],
+                  lambda q, k, v: ad.attention(q, k, v, np.eye(3, dtype=bool)[::-1], 2)),
+    "softmax_cross_entropy": ([_X.reshape(6, 4)],
+                              lambda z: ad.softmax_cross_entropy(z, [0, 1, 2, 3, 0, 1])),
+}
+OP_NAMES = sorted(OP_CALLS)
+
+
+def _call(op, grad_at):
+    """Run `op` on fresh tensors; those at the positions in `grad_at`
+    require grad. Returns (output, inputs)."""
+    arrays, fn = OP_CALLS[op]
+    inputs = [Tensor(a.copy(), requires_grad=i in grad_at) for i, a in enumerate(arrays)]
+    return fn(*inputs), inputs
+
+
+def _untracked(t):
+    return not t.requires_grad and t._backward is None and t._parents == ()
+
+
+class TestRecordingRule:
+    """Every op records a node exactly when recording is on and one of its
+    inputs requires grad."""
+
+    def test_table_covers_every_op(self):
+        assert set(OP_CALLS) == set(ad.__all__) - {"Tensor", "ShapeError", "no_grad"}
+
+    @pytest.mark.parametrize("op", OP_NAMES)
+    def test_untracked_inside_no_grad(self, op):
+        with ad.no_grad():
+            out, _ = _call(op, range(3))
+        assert _untracked(out)
+
+    @pytest.mark.parametrize("op", OP_NAMES)
+    def test_untracked_when_no_input_requires_grad(self, op):
+        out, _ = _call(op, ())
+        assert _untracked(out)
+
+    @pytest.mark.parametrize("op, i", [(op, i) for op in OP_NAMES
+                                       for i in range(len(OP_CALLS[op][0]))])
+    def test_node_when_one_input_requires_grad(self, op, i):
+        out, inputs = _call(op, {i})
+        assert out.requires_grad and out._backward is not None and out._parents
+        ad.sum_over_axis(out).backward()
+        assert [t.grad is not None for t in inputs] == [j == i for j in range(len(inputs))]
+
+
 # the encoder's projections: (B, L, d) @ (d, d | 4d | V) and (B, L, 4d) @ (4d, d)
 ENCODER_MATMULS = [((32, 18, 64), (64, 64)), ((32, 18, 64), (64, 256)),
                    ((32, 18, 64), (64, 204)), ((32, 18, 256), (256, 64)),

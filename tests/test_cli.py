@@ -4,10 +4,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csplade
 from csplade.cli import build_parser, environment, main
 from csplade.corpus import SynthSpec
 from csplade.encoder import EncoderConfig, EncoderModel
@@ -403,3 +407,37 @@ class TestEncodeBytes:
         assert run_cli("encode", "--model", trained, "--vocab", vocab,
                        "--input", synth_dir / "corpus.tsv", "--out", reps) == 0
         assert hashlib.sha256(reps.read_bytes()).hexdigest() == sha256
+
+
+_BLOCKED_IMPORTS = '''
+import importlib, importlib.abc, pkgutil, sys
+
+class Block(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "numba"):
+            raise ImportError(f"blocked: {name}")
+
+sys.meta_path.insert(0, Block())
+for name in ("scipy", "numba"):
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        continue
+    sys.exit(f"{name} was not blocked")
+import csplade
+for m in pkgutil.iter_modules(csplade.__path__, "csplade."):
+    importlib.import_module(m.name)
+    print(m.name)
+'''
+
+
+def test_runtime_imports_without_scipy_or_numba():
+    """The runtime is numpy-only: every csplade module imports while scipy
+    and numba fail to import."""
+    src = Path(csplade.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(src.parent))
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = {f"csplade.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__"}
+    assert set(proc.stdout.split()) == modules

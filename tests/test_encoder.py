@@ -291,6 +291,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             EncoderModel.load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        # a NaN weight would make every rep empty (NaN > WEIGHT_FLOOR is False)
+        m = make_model()
+        m.params["layer0.w1"].data[0, 0] = value
+        path = tmp_path / "m.ckpt"
+        m.save(path)
+        with pytest.raises(ValueError, match="non-finite weights in layer0.w1"):
+            EncoderModel.load(path)
+
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         make_model(seed=5).save(a)

@@ -641,6 +641,15 @@ class TestCorruptIndex:
         with pytest.raises(IndexFormatError, match="impact width"):
             self._load(tmp_path, _raw(0, b"", struct.pack("<I", 0), bits=4))
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_scale_not_finite_and_positive(self, tmp_path, scale):
+        ok = struct.pack("<I", 1) + b"\x03\x02" + b"\x03" + b"\x01\x02"
+        blob = bytearray(_raw(2, self.TABLE_AB, ok))
+        assert self._load(tmp_path, bytes(blob)).scale == 1.0
+        blob[16:20] = struct.pack("<f", scale)  # after magic (7), vocab, docs, bits
+        with pytest.raises(IndexFormatError, match="not finite and positive at byte 16"):
+            self._load(tmp_path, bytes(blob))
+
     def test_huge_vocab_size_in_header(self, tmp_path):
         # the search tables follow the lists present, not the header's
         # vocab_size; query terms past the largest indexed term score 0
