@@ -151,6 +151,7 @@ def cmd_adapt(args):
     cfg = AdaptConfig(steps=args.steps, batch_size=args.batch, seq_len=args.seq_len,
                       lr=args.lr, warmup_steps=args.warmup,
                       lambda_relu=args.lambda_relu, seed=args.seed)
+    args.warmup = cfg.warmup_steps  # the manifest records the resolved warm-up
     model, report = trainer.run_adaptation(model, collection.values(), vocab, cfg)
     model.save(args.out)
     outputs = [args.out, vocab_out]
@@ -298,7 +299,8 @@ def build_parser():
     p.add_argument("--batch", type=int, default=AdaptConfig.batch_size)
     p.add_argument("--seq-len", type=int, default=AdaptConfig.seq_len)
     p.add_argument("--lr", type=float, default=AdaptConfig.lr)
-    p.add_argument("--warmup", type=int, default=AdaptConfig.warmup_steps)
+    p.add_argument("--warmup", type=int, default=AdaptConfig.warmup_steps,
+                   help="warm-up steps (default: min(20, steps - 1))")
     p.add_argument("--lambda-relu", type=float, default=AdaptConfig.lambda_relu)
     p.add_argument("--seed", type=int, default=AdaptConfig.seed,
                    help="seeds both the encoder's init and the adaptation batches")

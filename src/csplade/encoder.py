@@ -8,7 +8,6 @@ mechanisms that give it some.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -283,16 +282,17 @@ class EncoderModel:
                              "no blank line after the config")
         cfg = EncoderConfig.from_text(blob[len(CHECKPOINT_MAGIC) + 1:head_end].decode("utf-8"))
         model = cls(cfg)
-        buf = io.BytesIO(blob[head_end + 2:])
+        offset = head_end + 2
         for name, p in model.params.items():
-            raw = buf.read(p.data.size * 4)
-            if len(raw) != p.data.size * 4:
+            size = p.data.size
+            if offset + 4 * size > len(blob):
                 raise ValueError(f"checkpoint truncated at parameter {name}")
-            p.data = np.frombuffer(raw, dtype="<f4").reshape(p.data.shape).astype(np.float32)
+            p.data = np.frombuffer(blob, "<f4", size, offset).reshape(p.data.shape).astype(np.float32)
+            offset += 4 * size
             # a float64 sum of float32 values cannot overflow: it is finite
             # exactly when every weight is, with no array-sized temporary
             if not np.isfinite(p.data.sum(dtype=np.float64)):
                 raise ValueError(f"non-finite weights in {name}")
-        if buf.read(1):
+        if offset != len(blob):
             raise ValueError("trailing bytes after final parameter block")
         return model

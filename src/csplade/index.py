@@ -4,14 +4,18 @@ Impacts are linearly quantized against the collection-wide maximum
 weight (floor 1 so no posting vanishes), doc ordinals are Elias-Fano coded
 per posting list and numbered doc ids are stored as runs.
 
-The build inverts by sorting, not by appending to per-term lists (Zobel &
-Moffat, "Inverted files for text search engines", ACM Computing Surveys
-2006): all postings are concatenated in doc order into flat arrays of term
-ids (in the narrowest unsigned type that holds the vocabulary), uint32
-doc ordinals and weights, stably argsorted by term id, quantized in one
-float64 pass and cut at term boundaries, so each posting list is a view
-and keeps its ordinals increasing. Memory is a few flat arrays rather than
-one Python object per posting.
+The build inverts by a counting sort, not by appending to per-term lists
+(Zobel & Moffat, "Inverted files for text search engines", ACM Computing
+Surveys 2006). It reads one RepsBatch: flat arrays of term ids (in the
+narrowest unsigned type that holds the vocabulary) and float32 weights in
+doc order. Counting the term ids, a bincount per block, gives the start of
+every posting list in one array of uint32 doc ordinals and one of impacts,
+with one count per term id up to the largest present. The postings
+are then placed one block of POSTING_BLOCK at a time: each block is
+stably argsorted by term, quantized in float64 and written after the
+earlier blocks' postings of the same terms, so every list keeps its
+ordinals increasing and is a view into those two arrays. Memory is the
+batch, the two output arrays and one block's temporaries.
 
 Search is exact and runs in two passes. In memory, every posting list
 dense enough that a full-length impact row costs no more bytes than its
@@ -36,13 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splade import SparseRep
+from .splade import RepsBatch, SparseRep
 
 MAGIC = b"CSPIDX2"
 _HEADER = struct.Struct("<IIBf")  # vocab_size, doc_count, bits, scale (13 bytes)
 
 # impact width in bits -> impact dtype; 0 keeps the float32 weights
 IMPACT_DTYPES = {0: np.float32, 8: np.uint8, 16: np.uint16}
+POSTING_BLOCK = 8192  # postings that build_index sorts and places at once
 
 
 class IndexFormatError(ValueError):
@@ -89,67 +94,60 @@ class InvertedIndex:
 
 
 def build_index(reps, bits=8) -> InvertedIndex:
-    """reps: iterable of (doc_id, SparseRep); ordinals follow input order.
+    """reps: a RepsBatch, or an iterable of (doc_id, SparseRep) that is
+    packed into one; ordinals follow input order.
 
     Every posting list is a view into one array of ordinals and one of
     impacts, both in (term, ordinal) order.
     """
     if bits not in IMPACT_DTYPES:
         raise ValueError(f"bits must be one of {sorted(IMPACT_DTYPES)}, got {bits}")
-    doc_ids = []
+    batch = reps if isinstance(reps, RepsBatch) else RepsBatch.from_pairs(reps)
     seen = set()
-    term_arrays, weight_arrays = [], []
-    vocab_size = None
-    for doc_id, rep in reps:
+    for doc_id in batch.doc_ids:
         if doc_id in seen:
             raise ValueError(f"duplicate doc id {doc_id!r}")
         seen.add(doc_id)
-        doc_ids.append(doc_id)
-        if vocab_size is None:
-            vocab_size = rep.vocab_size
-        elif rep.vocab_size != vocab_size:
-            raise ValueError("mixed vocab sizes in one index")
-        term_arrays.append(rep.term_ids)
-        weight_arrays.append(rep.weights)
-    vocab_size = vocab_size if vocab_size is not None else 0
-
-    # Term ids are in [0, vocab_size) (SparseRep checks), so the narrowest
-    # unsigned type that holds vocab_size - 1 loses nothing; for 8- and
-    # 16-bit keys the stable argsort is a radix sort. The leading empty
-    # arrays let an empty collection concatenate. Each transient is deleted
-    # as soon as it is used up, since the peak is the sum of those alive.
-    key = np.min_scalar_type(max(vocab_size - 1, 0))
-    terms = np.concatenate([np.empty(0, key)] + term_arrays, dtype=key, casting="unsafe")
-    counts = np.fromiter(map(len, term_arrays), dtype=np.int64, count=len(term_arrays))
-    order = np.argsort(terms, kind="stable")  # keeps doc order within a term
-    terms = terms[order]
-    ordinals = np.repeat(np.arange(len(doc_ids), dtype=np.uint32), counts)[order]
-    weights = np.concatenate([np.empty(0, np.float32)] + weight_arrays)
+    terms, weights = batch.term_ids, batch.weights
     max_weight = float(weights.max(initial=0.0))
-    weights = weights[order]
-    del order
-
     scale = max_weight if max_weight > 0 else 1.0
-    if bits == 0:
-        impacts = weights
-    else:  # w / scale * (2**bits - 1), rounded, floor 1, in float64
-        q = weights.astype(np.float64)
-        del weights
-        q /= scale
-        q *= 2 ** bits - 1
-        np.round(q, out=q)
-        np.maximum(q, 1, out=q)
-        impacts = q.astype(IMPACT_DTYPES[bits])
-        del q
+    blocks = range(0, terms.size, POSTING_BLOCK)
 
-    first = np.ones(terms.size, dtype=bool)  # first posting of each term
-    first[1:] = terms[1:] != terms[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], terms.size)
-    postings = {}
-    for t, a, b in zip(terms[starts].tolist(), starts.tolist(), ends.tolist()):
-        postings[t] = PostingList(ordinals[a:b], impacts[a:b])
-    return InvertedIndex(vocab_size, bits, float(scale), doc_ids, postings)
+    # list t fills starts[t]:starts[t] + counts[t]; slot[t] is its next free slot
+    size = int(terms.max(initial=0)) + 1
+    counts = np.zeros(size, dtype=np.int64)
+    for a in blocks:
+        counts += np.bincount(terms[a:a + POSTING_BLOCK], minlength=size)
+    starts = np.cumsum(counts) - counts
+    slot = starts.copy()
+    ordinals = np.empty(terms.size, dtype=np.uint32)
+    impacts = np.empty(terms.size, dtype=IMPACT_DTYPES[bits])
+    for a in blocks:
+        block = terms[a:a + POSTING_BLOCK]
+        order = np.argsort(block, kind="stable")  # keeps doc order within a term
+        block_counts = np.bincount(block, minlength=size)
+        # the i-th posting of the sorted block goes to slot[t] plus its rank
+        # among the block's postings of term t
+        rank_base = slot - (np.cumsum(block_counts) - block_counts)
+        dest = rank_base[block[order]] + np.arange(order.size)
+        slot += block_counts
+        ordinals[dest] = np.searchsorted(batch.indptr, order + a, side="right") - 1
+        w = weights[a:a + POSTING_BLOCK][order]
+        if bits == 0:
+            impacts[dest] = w
+        else:  # w / scale * (2**bits - 1), rounded, floor 1, in float64
+            q = w.astype(np.float64)
+            q /= scale
+            q *= 2 ** bits - 1
+            np.round(q, out=q)
+            np.maximum(q, 1, out=q)
+            impacts[dest] = q
+
+    present = np.flatnonzero(counts)
+    postings = {t: PostingList(ordinals[s:s + c], impacts[s:s + c])
+                for t, s, c in zip(present.tolist(), starts[present].tolist(),
+                                   counts[present].tolist())}
+    return InvertedIndex(batch.vocab_size, bits, float(scale), batch.doc_ids, postings)
 
 
 @dataclass

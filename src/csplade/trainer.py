@@ -44,11 +44,13 @@ class AdaptConfig:
     batch_size: int = 16
     seq_len: int = 128
     lr: float = 3e-3
-    warmup_steps: int = 20
+    warmup_steps: int | None = None  # None: min(20, steps - 1)
     lambda_relu: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
+        if self.warmup_steps is None:
+            self.warmup_steps = min(20, max(self.steps - 1, 0))
         if self.steps > 0 and self.warmup_steps >= self.steps:
             raise ValueError("warmup_steps must be < steps")
         if self.lambda_relu < 0:

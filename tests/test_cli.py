@@ -252,6 +252,29 @@ class TestVariantFromCheckpoint:
         assert out.read_bytes() == (work / "trained.ckpt").read_bytes()
 
 
+class TestAdaptWarmup:
+    TINY = ("--seq-len", 16, "--d-model", 16, "--layers", 1, "--heads", 2,
+            "--max-seq-len", 32)
+
+    @pytest.mark.parametrize("steps", [1, 2, 20])
+    def test_default_warmup_fits_any_step_count(self, synth_dir, tmp_path, steps):
+        """Without --warmup, adaptation warms up for min(20, steps - 1)
+        steps, and the manifest records that count."""
+        model = tmp_path / "m.ckpt"
+        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", steps,
+                       *self.TINY, "--vocab-out", tmp_path / "vocab.txt", "--out", model) == 0
+        manifest = json.loads(Path(f"{model}.manifest.json").read_text())
+        assert manifest["config"]["warmup"] == min(20, steps - 1)
+
+    def test_explicit_warmup_must_precede_steps(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.ckpt"
+        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", 2,
+                       "--warmup", 2, *self.TINY, "--vocab-out", tmp_path / "vocab.txt",
+                       "--out", model) == 1
+        assert "warmup_steps must be < steps" in capsys.readouterr().err
+        assert not model.exists()
+
+
 class TestParserDefaults:
     """Each option's default is the default of the dataclass field it fills."""
 

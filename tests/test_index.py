@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (brute_force_search, build_index_dicts, random_sparse_rep,
                       scatter_add_search)
+from csplade import index
 from csplade.index import (MAGIC, IndexFormatError, _index_bytes, build_index,
                            deserialize, ef_decode, ef_encode, index_size_bytes,
                            read_run, search, serialize, varint_decode, varint_encode,
                            write_run)
-from csplade.splade import SparseRep
+from csplade.splade import RepsBatch, SparseRep, read_reps, write_reps
 
 
 def rep(pairs, vocab_size=10):
@@ -194,11 +195,38 @@ class TestBuildIndex:
         docs = _random_reps(np.random.default_rng(3), 40, 25)
         _assert_same_index(build_index(iter(docs), 8), build_index_dicts(docs, 8))
 
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    @pytest.mark.parametrize("block", [5, index.POSTING_BLOCK])
+    def test_batch_pairs_and_dict_oracle_agree(self, monkeypatch, tmp_path, bits, block):
+        """A batch read from a reps file, the same reps as a list of pairs
+        and the dict-of-lists oracle give one index, whether the postings
+        fill many blocks (5 per block, cutting docs) or span a few
+        (20k postings in blocks of POSTING_BLOCK)."""
+        monkeypatch.setattr(index, "POSTING_BLOCK", block)
+        docs = _random_reps(np.random.default_rng(block + bits), 300, 60 if block == 5 else 4000)
+        docs[1] = ("empty", SparseRep([], [], 300))
+        path = tmp_path / "reps.txt"
+        write_reps(path, docs)
+        batch = read_reps(path, 300)
+        assert batch.weights.size > 2 * block  # three blocks or more
+        want = build_index_dicts(list(batch), bits)
+        _assert_same_index(build_index(batch, bits), want)
+        _assert_same_index(build_index(list(batch), bits), want)
+        _assert_same_index(build_index(RepsBatch.from_pairs(docs), bits),
+                           build_index_dicts(docs, bits))
+
+    def test_batch_of_no_docs(self):
+        empty = RepsBatch.from_pairs([])
+        assert len(empty) == 0 and empty.indptr.tolist() == [0]
+        _assert_same_index(build_index(empty, 8), build_index_dicts([], 8))
+
     def test_peak_memory_per_posting(self):
         """tracemalloc peak of one build over 50k postings (500 docs, 100
-        terms each out of 200) measured 21.8 B per posting, against 57.1 B
-        for the dict-of-lists builder in conftest, whose Python int and
-        float per posting this bound rules out."""
+        terms each out of 200) measured 21.6 B per posting (the batch packed
+        from the pairs and the output arrays take 10 B, one block's
+        temporaries most of the rest), against 57.1 B for the dict-of-lists
+        builder in conftest, whose Python int and float per posting this
+        bound rules out."""
         rng = np.random.default_rng(0)
         docs = [(f"d{i}", SparseRep(np.sort(rng.choice(200, size=100, replace=False)),
                                     rng.uniform(0.01, 3.0, size=100).astype(np.float32), 200))
