@@ -129,37 +129,40 @@ def cmd_synth(args):
     return 0
 
 
+def _save_trained(args, subcommand, model, report, outputs=()):
+    """Write a training phase's checkpoint, --report and manifest."""
+    args.warmup = report.warmup_steps  # the manifest records the count used
+    model.save(args.out)
+    outputs = [args.out, *outputs]
+    if args.report:
+        report.to_csv(args.report)
+        outputs.append(args.report)
+    write_manifest(str(args.out) + ".manifest.json", subcommand, args, outputs)
+    return 0
+
+
 def cmd_adapt(args):
     collection = corpus_mod.load_corpus(args.corpus)
     if args.vocab:
         vocab = corpus_mod.Vocabulary.load(args.vocab)
     else:
         vocab = corpus_mod.build_vocab(collection.values(), size=args.vocab_size)
+    cfg = AdaptConfig(steps=args.steps, batch_size=args.batch, seq_len=args.seq_len, lr=args.lr,
+                      warmup_steps=args.warmup, lambda_relu=args.lambda_relu, seed=args.seed)
     if args.model:
         model = EncoderModel.load(args.model)
         _resolve_checkpoint(args, model, vocab, args.vocab or f"built from {args.corpus}",
                             retrain=True)
     else:
         args.variant = args.variant or EncoderConfig.variant
-        cfg = EncoderConfig(vocab_size=vocab.size, d_model=args.d_model,
-                            n_layers=args.layers, n_heads=args.heads,
-                            max_seq_len=args.max_seq_len, variant=args.variant,
-                            seed=args.seed)
-        model = EncoderModel(cfg)
+        model = EncoderModel(EncoderConfig(
+            vocab_size=vocab.size, d_model=args.d_model, n_layers=args.layers,
+            n_heads=args.heads, max_seq_len=args.max_seq_len, variant=args.variant,
+            seed=args.seed))
+    model, report = trainer.run_adaptation(model, collection.values(), vocab, cfg)
     vocab_out = Path(args.vocab_out or (Path(args.out).with_suffix(".vocab.txt")))
     vocab.save(vocab_out)
-    cfg = AdaptConfig(steps=args.steps, batch_size=args.batch, seq_len=args.seq_len,
-                      lr=args.lr, warmup_steps=args.warmup,
-                      lambda_relu=args.lambda_relu, seed=args.seed)
-    args.warmup = cfg.warmup_steps  # the manifest records the resolved warm-up
-    model, report = trainer.run_adaptation(model, collection.values(), vocab, cfg)
-    model.save(args.out)
-    outputs = [args.out, vocab_out]
-    if args.report:
-        report.to_csv(args.report)
-        outputs.append(args.report)
-    write_manifest(str(args.out) + ".manifest.json", "adapt", args, outputs)
-    return 0
+    return _save_trained(args, "adapt", model, report, [vocab_out])
 
 
 def cmd_train(args):
@@ -167,19 +170,11 @@ def cmd_train(args):
     collection = corpus_mod.load_corpus(args.corpus)
     queries = corpus_mod.load_queries(args.queries)
     triples = corpus_mod.load_triples(args.triples)
-    cfg = ContrastiveConfig(
-        epochs=args.epochs, global_batch_size=args.batch,
-        hard_negatives_per_positive=args.hard_negs, lr=args.lr,
-        warmup_fraction=args.warmup_fraction, lambda_q=args.lambda_q,
-        lambda_d=args.lambda_d, seed=args.seed)
+    cfg = ContrastiveConfig(epochs=args.epochs, global_batch_size=args.batch, lr=args.lr,
+                            hard_negatives_per_positive=args.hard_negs, warmup_steps=args.warmup,
+                            lambda_q=args.lambda_q, lambda_d=args.lambda_d, seed=args.seed)
     model, report = trainer.run_contrastive(model, triples, collection, queries, vocab, cfg)
-    model.save(args.out)
-    outputs = [args.out]
-    if args.report:
-        report.to_csv(args.report)
-        outputs.append(args.report)
-    write_manifest(str(args.out) + ".manifest.json", "train", args, outputs)
-    return 0
+    return _save_trained(args, "train", model, report)
 
 
 def cmd_encode(args):
@@ -300,7 +295,7 @@ def build_parser():
     p.add_argument("--seq-len", type=int, default=AdaptConfig.seq_len)
     p.add_argument("--lr", type=float, default=AdaptConfig.lr)
     p.add_argument("--warmup", type=int, default=AdaptConfig.warmup_steps,
-                   help="warm-up steps (default: min(20, steps - 1))")
+                   help="warm-up steps, below --steps (default: round(0.05 * steps))")
     p.add_argument("--lambda-relu", type=float, default=AdaptConfig.lambda_relu)
     p.add_argument("--seed", type=int, default=AdaptConfig.seed,
                    help="seeds both the encoder's init and the adaptation batches")
@@ -319,7 +314,8 @@ def build_parser():
     p.add_argument("--batch", type=int, default=ContrastiveConfig.global_batch_size)
     p.add_argument("--hard-negs", type=int, default=ContrastiveConfig.hard_negatives_per_positive)
     p.add_argument("--lr", type=float, default=ContrastiveConfig.lr)
-    p.add_argument("--warmup-fraction", type=float, default=ContrastiveConfig.warmup_fraction)
+    p.add_argument("--warmup", type=int, default=ContrastiveConfig.warmup_steps,
+                   help="warm-up steps, below the step count (default: round(0.05 * steps))")
     p.add_argument("--lambda-q", type=float, default=ContrastiveConfig.lambda_q)
     p.add_argument("--lambda-d", type=float, default=ContrastiveConfig.lambda_d)
     p.add_argument("--seed", type=int, default=ContrastiveConfig.seed)

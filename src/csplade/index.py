@@ -19,13 +19,14 @@ batch, the two output arrays and one block's temporaries.
 
 Search is exact and runs in two passes. In memory, every posting list
 dense enough that a full-length impact row costs no more bytes than its
-ordinals plus impacts is also held as a row of one float32 block (0 marks
-an absent doc; 4 bytes x dense lists x docs). Pass 1 scores every doc
-approximately in float32: one GEMV of the query weights against the block,
-plus a scatter-add for the sparser lists. Pass 2 takes the k-th largest
-approximate score, keeps every doc within a proven float32 error bound of
-it, and rescores only those in float64 in query term order, so ids, scores
-and tie order equal a float64 scatter-add over all lists, bit for bit.
+ordinals plus impacts is also held, from the first search on, as a row of
+one float32 block (0 marks an absent doc; 4 bytes x dense lists x docs).
+Pass 1 scores every doc approximately in float32: one GEMV of the query
+weights against the block, plus a scatter-add for the sparser lists. Pass 2
+takes the k-th largest approximate score, keeps every doc within a proven
+float32 error bound of it, and rescores only those in float64 in query term
+order, so ids, scores and tie order equal a float64 scatter-add over all
+lists, bit for bit.
 Learned sparse weights make most lists dense, which favours this exhaustive
 first pass (Mackenzie, Trotman & Lin, "Wacky Weights in Learned Sparse
 Representations and the Revenge of Score-at-a-Time Query Evaluation",
@@ -37,6 +38,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,24 +70,27 @@ class InvertedIndex:
         self.doc_ids = list(doc_ids)
         self.postings = postings  # dict term_id -> PostingList
         # A list is dense when a full-length row costs no more bytes than its
-        # ordinals (4 bytes each) plus impacts (w bytes each). Dense lists are
-        # stacked in ascending term order into one float32 block (0 marks an
-        # absent doc); every impact width is exact in float32. block_row
-        # maps term id -> block row, so its size follows the lists present,
-        # not the header's vocab_size.
+        # ordinals (4 bytes each) plus impacts (w bytes each). block_row maps
+        # each dense list's term id, ascending, to its row of `block`.
         dense = [t for t in sorted(postings)
                  if len(postings[t].ordinals) * (4 + postings[t].impacts.itemsize)
                  >= self.doc_count * postings[t].impacts.itemsize]
         self.block_row = {t: r for r, t in enumerate(dense)}
-        self.block = np.zeros((len(dense), self.doc_count), dtype=np.float32)
-        for row, t in zip(self.block, dense):
-            row[postings[t].ordinals] = postings[t].impacts
         self.max_impact = max((float(p.impacts.max()) for p in postings.values()),
                               default=0.0)
 
     @property
     def doc_count(self):
         return len(self.doc_ids)
+
+    @cached_property
+    def block(self):
+        """The dense lists as full-length float32 rows (0: absent doc), filled
+        on first use, so an index that is only written never holds them."""
+        block = np.zeros((len(self.block_row), self.doc_count), dtype=np.float32)
+        for t, row in self.block_row.items():
+            block[row, self.postings[t].ordinals] = self.postings[t].impacts
+        return block
 
     def dequant_factor(self):
         if self.bits == 0:
@@ -408,11 +413,6 @@ def _index_bytes(index):
 def serialize(index: InvertedIndex, path):
     with open(path, "wb") as f:
         f.write(_index_bytes(index))
-
-
-def index_size_bytes(index: InvertedIndex) -> int:
-    """Exact serialized size without writing."""
-    return len(_index_bytes(index))
 
 
 def _read_text(blob, pos, n, what):

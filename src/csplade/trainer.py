@@ -7,6 +7,7 @@ CLI inference path.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass
@@ -33,30 +34,45 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 
+WARMUP_FRACTION = 0.05  # share of a phase's steps that warm up when no count is given
+
 
 class TrainingDivergedError(RuntimeError):
     pass
+
+
+def resolve_warmup(warmup_steps, total_steps):
+    """The warm-up step count of a phase of `total_steps` steps: None means
+    round(WARMUP_FRACTION * total_steps); a given count must be below it."""
+    if warmup_steps is None:
+        return int(round(WARMUP_FRACTION * total_steps))
+    if total_steps > 0 and warmup_steps >= total_steps:
+        raise ValueError("warmup_steps must be < steps")
+    return warmup_steps
+
+
+def _check_minimums(cfg, **minimums):
+    """Raise ValueError for the first set field of `cfg` below its minimum."""
+    for name, low in minimums.items():
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass
 class AdaptConfig:
     steps: int = 500
     batch_size: int = 16
-    seq_len: int = 128
+    seq_len: int = 128  # at least BOS and EOS
     lr: float = 3e-3
-    warmup_steps: int | None = None  # None: min(20, steps - 1)
+    warmup_steps: int | None = None  # None: see resolve_warmup
     lambda_relu: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.warmup_steps is None:
-            self.warmup_steps = min(20, max(self.steps - 1, 0))
-        if self.steps > 0 and self.warmup_steps >= self.steps:
-            raise ValueError("warmup_steps must be < steps")
-        if self.lambda_relu < 0:
-            raise ValueError("lambda_relu must be >= 0")
-        if self.seq_len < 2:
-            raise ValueError("seq_len must be >= 2 (BOS and EOS)")
+        _check_minimums(self, steps=0, batch_size=1, seq_len=2, lr=0, warmup_steps=0,
+                        lambda_relu=0)
+        resolve_warmup(self.warmup_steps, self.steps)
 
 
 @dataclass
@@ -65,16 +81,14 @@ class ContrastiveConfig:
     global_batch_size: int = 8
     hard_negatives_per_positive: int = 3
     lr: float = 2e-3
-    warmup_fraction: float = 0.05
+    warmup_steps: int | None = None  # None: see resolve_warmup
     lambda_q: float = 0.003
     lambda_d: float = 0.003
     seed: int = 0
 
     def __post_init__(self):
-        if self.hard_negatives_per_positive < 0:
-            raise ValueError("hard_negatives_per_positive must be >= 0")
-        if self.lambda_q < 0 or self.lambda_d < 0:
-            raise ValueError("FLOPs coefficients must be >= 0")
+        _check_minimums(self, epochs=0, global_batch_size=1, hard_negatives_per_positive=0,
+                        lr=0, warmup_steps=0, lambda_q=0, lambda_d=0)
 
 
 class TrainReport:
@@ -91,6 +105,7 @@ class TrainReport:
 
     def __init__(self):
         self.columns = {name: [] for name, _ in self.COLUMNS}
+        self.warmup_steps = None  # the count the training loop used
 
     def __getattr__(self, name):
         try:
@@ -132,13 +147,10 @@ class TrainReport:
 
 
 def cosine_lr(step, total_steps, warmup_steps, peak):
-    """Linear warmup to `peak`, then cosine decay to zero."""
-    if total_steps <= 0:
-        return 0.0
-    if warmup_steps > 0 and step < warmup_steps:
+    """Linear warmup to `peak`, then cosine decay to zero; needs
+    0 <= warmup_steps < total_steps (see resolve_warmup)."""
+    if step < warmup_steps:
         return peak * step / warmup_steps
-    if total_steps == warmup_steps:
-        return peak
     frac = (step - warmup_steps) / (total_steps - warmup_steps)
     return peak * 0.5 * (1.0 + np.cos(np.pi * min(frac, 1.0)))
 
@@ -189,20 +201,15 @@ class AdamW:
             p.zero_grad()
 
 
-def grad_norm(params) -> float:
-    """Global L2 norm of the gradients; parameters without a grad are skipped."""
-    return float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                             for p in params.values() if p.grad is not None)))
-
-
 def clip_grad_norm(params, max_norm):
     """Scale all gradients so their global L2 norm is <= max_norm.
 
-    Returns the norm before clipping. Each grad is replaced, not scaled in
-    place: one array may be the grad of several tensors (see
-    autodiff.Tensor._accumulate).
+    Returns the norm before clipping; parameters without a grad are skipped.
+    Each grad is replaced, not scaled in place: one array may be the grad of
+    several tensors (see autodiff.Tensor._accumulate).
     """
-    norm = grad_norm(params)
+    norm = float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                             for p in params.values() if p.grad is not None)))
     if norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
@@ -271,48 +278,67 @@ def dead_dim_fraction(reps: Tensor) -> float:
     return float(1.0 - _live(reps, "dead_dim_fraction").any(axis=0).mean())
 
 
-def _nnz_mean(reps: Tensor) -> float:
-    return float((reps.data > WEIGHT_FLOOR).sum(axis=1).mean())
+def _sparsity(q_reps, d_reps):
+    """A report row's sparsity columns for a step's query reps (None in
+    adaptation) and document reps; dead_frac counts both."""
+    nnz = {column: float((reps.data > WEIGHT_FLOOR).sum(axis=1).mean())
+           for column, reps in (("avg_nnz_q", q_reps), ("avg_nnz_d", d_reps)) if reps is not None}
+    dead = empty_rep_fraction(d_reps)
+    if q_reps is not None:
+        n_q, n_d = q_reps.shape[0], d_reps.shape[0]
+        dead = (empty_rep_fraction(q_reps) * n_q + dead * n_d) / (n_q + n_d)
+    return dict(nnz, dead_frac=dead, dead_dims=dead_dim_fraction(d_reps))
+
+
+def _train(phase, model, batches, objective, total_steps, cfg, max_norm):
+    """The optimizer loop of both phases. Per batch: zero-grad, `objective(step,
+    batch)` -> (loss, {column: float}, reps), finite check, backward, clipping
+    to `max_norm`, cosine LR and AdamW, which `step_ms` times; then the
+    sparsity of `reps()`, the step's (query or None, document) reps."""
+    report = TrainReport()
+    report.warmup_steps = warmup = resolve_warmup(cfg.warmup_steps, total_steps)
+    optimizer = AdamW(model.params)
+    for step, batch in enumerate(batches):
+        t0 = time.perf_counter()
+        optimizer.zero_grad()
+        total, terms, reps = objective(step, batch)
+        if not np.isfinite(total.data):
+            raise TrainingDivergedError(
+                f"{phase} step {step}: non-finite loss "
+                f"({', '.join(f'{k}={v}' for k, v in terms.items())})")
+        total.backward()
+        norm = clip_grad_norm(model.params, max_norm)
+        lr = cosine_lr(step, total_steps, warmup, cfg.lr)
+        optimizer.step(lr)
+        step_ms = (time.perf_counter() - t0) * 1e3
+        report.append(step, **terms, total=float(total.data), lr=lr, step_ms=step_ms,
+                      grad_norm=norm, **_sparsity(*reps()))
+    return report
 
 
 def run_adaptation(model: EncoderModel, texts, vocab: Vocabulary, cfg: AdaptConfig):
-    """Adapt the model on unlabeled text: CLM plus log-saturated CLM loss."""
-    texts = list(texts)
-    if not texts:
-        raise ValueError("run_adaptation: corpus must be non-empty")
-    report = TrainReport()
-    if cfg.steps == 0:
-        return model, report
-    rng = np.random.default_rng(cfg.seed)
+    """Adapt the model on unlabeled text: CLM plus log-saturated CLM loss.
+    Gradients are not clipped."""
     seq_len = min(cfg.seq_len, model.cfg.max_seq_len)
     tokenized = [tokenize(t, vocab, max_len=seq_len) for t in texts]
-    optimizer = AdamW(model.params)
+    if not tokenized:
+        raise ValueError("run_adaptation: corpus must be non-empty")
+    rng = np.random.default_rng(cfg.seed)
+    picks = (rng.integers(0, len(tokenized), size=cfg.batch_size) for _ in range(cfg.steps))
+    batches = (pack_sequences([tokenized[i] for i in p]) for p in picks)
 
-    for step in range(cfg.steps):
-        picks = rng.integers(0, len(tokenized), size=cfg.batch_size)
-        batch = [tokenized[i] for i in picks]
-        ids, lengths, span_mask = pack_sequences(batch)
-        t0 = time.perf_counter()
-        optimizer.zero_grad()
+    def objective(step, batch):
+        ids, lengths, span_mask = batch
         logits = model.forward_batch(ids, lengths)
-        total, clm, relu_clm = adaptation_loss_batch(logits, ids, lengths,
-                                                     lambda_relu=cfg.lambda_relu)
-        if not np.isfinite(total.data):
-            raise TrainingDivergedError(
-                f"adaptation step {step}: non-finite loss "
-                f"(clm={float(clm.data)}, relu_clm={float(relu_clm.data)})")
-        total.backward()
-        lr = cosine_lr(step, cfg.steps, cfg.warmup_steps, cfg.lr)
-        optimizer.step(lr)
-        step_ms = (time.perf_counter() - t0) * 1e3
-        with ad.no_grad():  # the sparsity the step's logits pool to
-            reps = pool_reps(logits, span_mask)
-        report.append(step, clm=float(clm.data), relu_clm=float(relu_clm.data),
-                      total=float(total.data), dead_frac=empty_rep_fraction(reps),
-                      avg_nnz_d=_nnz_mean(reps), lr=lr, step_ms=step_ms,
-                      grad_norm=grad_norm(model.params),  # unclipped
-                      dead_dims=dead_dim_fraction(reps))
-    return model, report
+        total, clm, relu_clm = adaptation_loss_batch(logits, ids, lengths, cfg.lambda_relu)
+
+        def reps():
+            with ad.no_grad():  # the sparsity the step's logits pool to
+                return None, pool_reps(logits, span_mask)
+
+        return total, dict(clm=float(clm.data), relu_clm=float(relu_clm.data)), reps
+
+    return model, _train("adaptation", model, batches, objective, cfg.steps, cfg, np.inf)
 
 
 def run_contrastive(model: EncoderModel, triples, corpus, queries,
@@ -323,73 +349,49 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
     optimizer step the parameter gradients are scaled so that their global
     L2 norm is at most GRAD_CLIP_NORM (Pascanu et al. 2013).
     """
-    for t in triples:
-        if not t["positive_ids"]:
-            raise ValueError(f"triple for {t['query_id']} has no positive")
-    report = TrainReport()
+    if missing := [t["query_id"] for t in triples if not t["positive_ids"]]:
+        raise ValueError(f"triple for {missing[0]} has no positive")
     rng = np.random.default_rng(cfg.seed)
-    steps_per_epoch = (len(triples) + cfg.global_batch_size - 1) // cfg.global_batch_size
-    total_steps = cfg.epochs * steps_per_epoch
-    warmup = int(round(cfg.warmup_fraction * total_steps))
-    optimizer = AdamW(model.params)
     h = cfg.hard_negatives_per_positive
-    step = 0
-    seq_cache = {}
-    echo = model.cfg.variant == "echo"
 
-    def seq_for(text_map, key):
-        if key not in seq_cache:
-            seq_cache[key] = prepare_sequence(text_map[key[1]], vocab, model.cfg, echo)
-        return seq_cache[key]
+    @functools.cache  # each text is tokenized once across epochs
+    def seq_for(text):
+        return prepare_sequence(text, vocab, model.cfg, model.cfg.variant == "echo")
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(triples))
-        for b0 in range(0, len(order), cfg.global_batch_size):
-            chosen = order[b0: b0 + cfg.global_batch_size]
-            q_seqs, d_seqs, positives = [], [], []
-            for ti in chosen:
-                triple = triples[ti]
-                q_seqs.append(seq_for(queries, ("q", triple["query_id"])))
-                pos_id = triple["positive_ids"][0]
-                if len(triple["positive_ids"]) > 1:
-                    pos_id = triple["positive_ids"][int(rng.integers(len(triple["positive_ids"])))]
-                positives.append(len(d_seqs))  # triples may add unequal numbers of docs
-                d_seqs.append(seq_for(corpus, ("d", pos_id)))
-                pool = triple["negative_ids"]
-                if h > 0 and pool:
-                    picks = rng.choice(len(pool), size=min(h, len(pool)), replace=False)
-                    for i in sorted(picks):
-                        d_seqs.append(seq_for(corpus, ("d", pool[i])))
+    def batches():
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(triples))
+            for b0 in range(0, len(order), cfg.global_batch_size):
+                q_seqs, d_seqs, positives = [], [], []
+                for triple in [triples[i] for i in order[b0: b0 + cfg.global_batch_size]]:
+                    q_seqs.append(seq_for(queries[triple["query_id"]]))
+                    pos = triple["positive_ids"]
+                    pos_id = pos[int(rng.integers(len(pos)))] if len(pos) > 1 else pos[0]
+                    positives.append(len(d_seqs))  # triples may add unequal numbers of docs
+                    d_seqs.append(seq_for(corpus[pos_id]))
+                    pool = triple["negative_ids"]
+                    if h > 0 and pool:
+                        picks = rng.choice(len(pool), size=min(h, len(pool)), replace=False)
+                        d_seqs += [seq_for(corpus[pool[i]]) for i in sorted(picks)]
+                yield q_seqs, d_seqs, np.array(positives)
 
-            t0 = time.perf_counter()
-            optimizer.zero_grad()
-            q_reps = encode_reps_tensor(model, q_seqs)
-            d_reps = encode_reps_tensor(model, d_seqs)
-            rank = splade.rank_loss_t(q_reps, d_reps, np.array(positives))
-            fq = flops_reg_t(q_reps)
-            fd = flops_reg_t(d_reps)
-            total = ad.add(rank, ad.add(ad.scale(fq, cfg.lambda_q),
-                                        ad.scale(fd, cfg.lambda_d)))
-            terms = dict(rank_loss=float(rank.data), flops_q=float(fq.data),
-                         flops_d=float(fd.data))
-            if not np.isfinite(total.data):
-                raise TrainingDivergedError(
-                    f"contrastive step {step}: non-finite loss "
-                    f"({', '.join(f'{k}={v}' for k, v in terms.items())})")
-            dead_q = empty_rep_fraction(q_reps)
-            dead_d = empty_rep_fraction(d_reps)
-            dead = (dead_q * len(q_seqs) + dead_d * len(d_seqs)) / (len(q_seqs) + len(d_seqs))
-            if dead_q == 1.0 and dead_d == 1.0:
+    def objective(step, batch):
+        q_seqs, d_seqs, positives = batch
+        q_reps = encode_reps_tensor(model, q_seqs)
+        d_reps = encode_reps_tensor(model, d_seqs)
+        rank = splade.rank_loss_t(q_reps, d_reps, positives)
+        fq, fd = flops_reg_t(q_reps), flops_reg_t(d_reps)
+        total = ad.add(rank, ad.add(ad.scale(fq, cfg.lambda_q), ad.scale(fd, cfg.lambda_d)))
+
+        def reps():
+            if empty_rep_fraction(q_reps) == 1.0 and empty_rep_fraction(d_reps) == 1.0:
                 warnings.warn(
                     f"step {step}: all representations empty (empty_rep_fraction=1.0); "
                     "training is stalled by dead ReLU units", RuntimeWarning)
-            total.backward()
-            norm = clip_grad_norm(model.params, GRAD_CLIP_NORM)
-            lr = cosine_lr(step, total_steps, warmup, cfg.lr)
-            optimizer.step(lr)
-            report.append(step, **terms, total=float(total.data), dead_frac=dead,
-                          avg_nnz_q=_nnz_mean(q_reps), avg_nnz_d=_nnz_mean(d_reps),
-                          lr=lr, step_ms=(time.perf_counter() - t0) * 1e3,
-                          grad_norm=norm, dead_dims=dead_dim_fraction(d_reps))
-            step += 1
-    return model, report
+            return q_reps, d_reps
+
+        terms = dict(rank_loss=float(rank.data), flops_q=float(fq.data), flops_d=float(fd.data))
+        return total, terms, reps
+
+    steps = cfg.epochs * -(-len(triples) // cfg.global_batch_size)
+    return model, _train("contrastive", model, batches(), objective, steps, cfg, GRAD_CLIP_NORM)

@@ -252,27 +252,42 @@ class TestVariantFromCheckpoint:
         assert out.read_bytes() == (work / "trained.ckpt").read_bytes()
 
 
-class TestAdaptWarmup:
-    TINY = ("--seq-len", 16, "--d-model", 16, "--layers", 1, "--heads", 2,
-            "--max-seq-len", 32)
+def run_phase(phase, pipeline, tmp_path, steps, *extra):
+    """Run training phase `phase` ("adapt" or "train") of a tiny model for
+    `steps` optimizer steps, writing into `tmp_path`; (exit code, checkpoint)."""
+    work, data = pipeline
+    out = tmp_path / "m.ckpt"
+    if phase == "adapt":
+        argv = ("--corpus", data / "corpus.tsv", "--steps", steps, "--seq-len", 16,
+                "--d-model", 16, "--layers", 1, "--heads", 2, "--max-seq-len", 32,
+                "--vocab-out", tmp_path / "vocab.txt")
+    else:  # the 8 triples make one batch, so one step per epoch
+        argv = ("--model", work / "adapted.ckpt", "--vocab", work / "vocab.txt",
+                "--triples", data / "triples.jsonl", "--corpus", data / "corpus.tsv",
+                "--queries", data / "queries.tsv", "--epochs", steps, "--batch", 8)
+    return run_cli(phase, *argv, *extra, "--out", out), out
+
+
+class TestWarmup:
+    """Both phases warm up for round(0.05 * steps) steps unless --warmup is
+    given, the manifest records the count used, and a given count must be
+    below the phase's step count."""
 
     @pytest.mark.parametrize("steps", [1, 2, 20])
-    def test_default_warmup_fits_any_step_count(self, synth_dir, tmp_path, steps):
-        """Without --warmup, adaptation warms up for min(20, steps - 1)
-        steps, and the manifest records that count."""
-        model = tmp_path / "m.ckpt"
-        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", steps,
-                       *self.TINY, "--vocab-out", tmp_path / "vocab.txt", "--out", model) == 0
+    @pytest.mark.parametrize("phase", ["adapt", "train"])
+    def test_default_warmup_fits_any_step_count(self, pipeline, tmp_path, phase, steps):
+        code, model = run_phase(phase, pipeline, tmp_path, steps, "--report", tmp_path / "r.csv")
+        assert code == 0
         manifest = json.loads(Path(f"{model}.manifest.json").read_text())
-        assert manifest["config"]["warmup"] == min(20, steps - 1)
+        assert manifest["config"]["warmup"] == round(0.05 * steps)
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert len(rows) == steps
 
-    def test_explicit_warmup_must_precede_steps(self, synth_dir, tmp_path, capsys):
-        model = tmp_path / "m.ckpt"
-        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", 2,
-                       "--warmup", 2, *self.TINY, "--vocab-out", tmp_path / "vocab.txt",
-                       "--out", model) == 1
+    @pytest.mark.parametrize("phase", ["adapt", "train"])
+    def test_explicit_warmup_must_precede_steps(self, pipeline, tmp_path, capsys, phase):
+        assert run_phase(phase, pipeline, tmp_path, 2, "--warmup", 2)[0] == 1
         assert "warmup_steps must be < steps" in capsys.readouterr().err
-        assert not model.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParserDefaults:
@@ -295,7 +310,7 @@ class TestParserDefaults:
                                 "lambda_relu": "lambda_relu", "seed": "seed"}),
         ("train", ContrastiveConfig, {"epochs": "epochs", "batch": "global_batch_size",
                                       "hard_negs": "hard_negatives_per_positive", "lr": "lr",
-                                      "warmup_fraction": "warmup_fraction",
+                                      "warmup": "warmup_steps",
                                       "lambda_q": "lambda_q", "lambda_d": "lambda_d",
                                       "seed": "seed"}),
         ("bench", QuantConfig, {"group_size": "group_size"}),
@@ -392,6 +407,29 @@ class TestErrors:
         assert str(vocab) in err and str(model) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["other.vocab.txt"]
 
+    @pytest.mark.parametrize("phase, steps, extra", [
+        ("adapt", 2, ("--batch", 0)), ("adapt", -1, ()),
+        ("train", 2, ("--batch", 0)), ("train", -1, ()),
+    ], ids=["adapt-batch-0", "adapt-steps-negative", "train-batch-0", "train-epochs-negative"])
+    def test_invalid_loop_size_writes_nothing(self, pipeline, tmp_path, capsys, monkeypatch,
+                                              phase, steps, extra):
+        """A batch size below 1 or a negative step or epoch count is a
+        one-line error before any file, checkpoint or vocabulary, is written."""
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        assert run_phase(phase, pipeline, tmp_path, steps, *extra)[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and err.count("\n") == 1
+        assert ("batch_size must be >= 1" if extra else " must be >= 0") in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+    def test_diverged_adaptation_writes_nothing(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        assert run_phase("adapt", pipeline, tmp_path, 3, "--warmup", 0, "--lr", 1e30)[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TrainingDivergedError: adaptation step ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bm25_requires_corpus(self, pipeline, tmp_path, capsys):
         _, data = pipeline
         assert run_cli("search", "--queries", data / "queries.tsv",
@@ -399,14 +437,36 @@ class TestErrors:
         assert "corpus" in capsys.readouterr().err
 
 
+def _without_step_ms(report_csv):
+    """A report CSV's bytes without its step_ms column, the one column that
+    holds a wall time."""
+    rows = [line.split(",") for line in report_csv.read_text().splitlines()]
+    i = rows[0].index("step_ms")
+    return "".join(",".join(r[:i] + r[i + 1:]) + "\n" for r in rows).encode()
+
+
 class TestEncodeBytes:
-    """The bytes `csplade encode` writes for each variant on a small fixed
-    pipeline (synth, adapt 5 steps, train 1 epoch), pinned by sha256. The
-    hashes were taken with the graph-building forward, so they pin that the
-    inference path gives the same reps. They depend on float32 rounding in
-    the BLAS GEMMs (taken with OpenBLAS 0.3 on x86-64); a BLAS build that
-    rounds differently needs new hashes, and then every variant should
-    change together."""
+    """The bytes of a small fixed pipeline (synth, adapt 5 steps, train 1
+    epoch, encode) for each variant, pinned by sha256: the reps `csplade
+    encode` writes, the trained checkpoint, and both training reports
+    without their step_ms column. The reps hashes were taken with the
+    graph-building forward, so they pin that the inference path gives the
+    same reps. All hashes depend on float32 rounding in the BLAS GEMMs
+    (taken with OpenBLAS 0.3 on x86-64); a BLAS build that rounds
+    differently needs new hashes, and then every variant should change
+    together."""
+
+    PINNED = {  # variant -> sha256 of (trained.ckpt, adapt.csv, train.csv)
+        "causal": ("a140d89c8b0fc131d975b24fe80bfb853892bb934b6470c5a3337a5db47663d3",
+                   "3419b91e2bd0bbe71ccd91604e6bdb27df1234d250663e68bfd6980bd1a64a1d",
+                   "7003f87c0c15a0469e840f7e439b8d3445b0857381611f6ad86e95f6401c14e4"),
+        "echo": ("536d6aaa482c698e9fd5fdfcb1ab55d7bf61ce23aa9f9089ba107ef9f35dfab5",
+                 "3419b91e2bd0bbe71ccd91604e6bdb27df1234d250663e68bfd6980bd1a64a1d",
+                 "f8b9292fc2cab1d26f3d4397118d1ef4c3b3e3169152a4202fec1c56fbef4977"),
+        "bi": ("db79810ee464f53e1d6df7e53dad056396e14e96b8fab812dc0608c45ffc90d4",
+               "60af8d2ed0d85e88ee2f4a4de190b82079f5018ae53e3f52f3d9f6442d212e4e",
+               "de190e8e071625561488c4dd8c32490ba1dc4614c4953a3397514023150b39d7"),
+    }
 
     @pytest.mark.parametrize("variant, sha256", [
         ("causal", "2c96c62c0a575c4f6757d96ad669d530f236af19f708c1d8f42757c3e9f11313"),
@@ -419,17 +479,23 @@ class TestEncodeBytes:
                        "--steps", 5, "--warmup", 1, "--seq-len", 16,
                        "--d-model", 16, "--layers", 1, "--heads", 2,
                        "--max-seq-len", 32, "--variant", variant,
-                       "--vocab-out", vocab, "--out", adapted) == 0
+                       "--vocab-out", vocab, "--out", adapted,
+                       "--report", tmp_path / "adapt.csv") == 0
         trained = tmp_path / "trained.ckpt"
         assert run_cli("train", "--model", adapted, "--vocab", vocab,
                        "--triples", synth_dir / "triples.jsonl",
                        "--corpus", synth_dir / "corpus.tsv",
                        "--queries", synth_dir / "queries.tsv",
-                       "--epochs", 1, "--hard-negs", 1, "--out", trained) == 0
+                       "--epochs", 1, "--hard-negs", 1, "--out", trained,
+                       "--report", tmp_path / "train.csv") == 0
         reps = tmp_path / "reps.txt"
         assert run_cli("encode", "--model", trained, "--vocab", vocab,
                        "--input", synth_dir / "corpus.tsv", "--out", reps) == 0
         assert hashlib.sha256(reps.read_bytes()).hexdigest() == sha256
+        got = tuple(hashlib.sha256(data).hexdigest() for data in (
+            trained.read_bytes(), _without_step_ms(tmp_path / "adapt.csv"),
+            _without_step_ms(tmp_path / "train.csv")))
+        assert got == self.PINNED[variant]
 
 
 _BLOCKED_IMPORTS = '''

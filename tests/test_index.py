@@ -13,8 +13,7 @@ from conftest import (brute_force_search, build_index_dicts, random_sparse_rep,
                       scatter_add_search)
 from csplade import index
 from csplade.index import (MAGIC, IndexFormatError, _index_bytes, build_index,
-                           deserialize, ef_decode, ef_encode, index_size_bytes,
-                           read_run, search, serialize, varint_decode, varint_encode,
+                           deserialize, ef_decode, ef_encode, read_run, search, serialize, varint_decode, varint_encode,
                            write_run)
 from csplade.splade import RepsBatch, SparseRep, read_reps, write_reps
 
@@ -518,11 +517,17 @@ class TestSerialization:
         np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_size_matches_file(self, tmp_path):
+        """The same postings written at 8, 16 and 0 (float32) bits differ in
+        size by exactly the impact bytes: 1, 2 and 4 per posting."""
+        sizes = {}
         for bits in (0, 8, 16):
             idx = self._random_index(3, bits)
             path = tmp_path / f"idx{bits}.bin"
             serialize(idx, path)
-            assert index_size_bytes(idx) == path.stat().st_size
+            sizes[bits] = path.stat().st_size
+        postings = sum(len(p.ordinals) for p in idx.postings.values())
+        assert sizes[16] - sizes[8] == postings
+        assert sizes[0] - sizes[8] == 3 * postings
 
     def test_empty_index_is_header_plus_count(self, tmp_path):
         idx = build_index([], bits=8)
@@ -598,10 +603,11 @@ class TestDocTable:
         (["d01", "d02"], 8),                  # leading zeros: two literals
         ([f"d{10 ** 18 + i}" for i in range(3)], 12),  # 19-digit run: first n takes 9 bytes
     ])
-    def test_doc_table_size(self, doc_ids, table_bytes):
+    def test_doc_table_size(self, tmp_path, doc_ids, table_bytes):
         # no postings: magic (7) + header (13) + doc table + list count (4)
-        idx = build_index([(d, rep([])) for d in doc_ids], bits=8)
-        assert index_size_bytes(idx) == 24 + table_bytes
+        path = tmp_path / "idx.bin"
+        serialize(build_index([(d, rep([])) for d in doc_ids], bits=8), path)
+        assert path.stat().st_size == 24 + table_bytes
 
 
 def _raw(doc_count, table, body, vocab_size=10, bits=8):

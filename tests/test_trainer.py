@@ -58,6 +58,36 @@ class TestConfigs:
         with pytest.raises(ValueError):
             ContrastiveConfig(lambda_q=-0.1)
 
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (AdaptConfig, "batch_size", 0, "batch_size must be >= 1"),
+        (AdaptConfig, "steps", -1, "steps must be >= 0"),
+        (AdaptConfig, "warmup_steps", -1, "warmup_steps must be >= 0"),
+        (AdaptConfig, "lr", -1e-3, "lr must be >= 0"),
+        (ContrastiveConfig, "global_batch_size", 0, "global_batch_size must be >= 1"),
+        (ContrastiveConfig, "epochs", -1, "epochs must be >= 0"),
+        (ContrastiveConfig, "warmup_steps", -1, "warmup_steps must be >= 0"),
+        (ContrastiveConfig, "lr", -1e-3, "lr must be >= 0"),
+    ])
+    def test_out_of_range_fields_rejected(self, cls, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**{field: value})
+
+    def test_zero_steps_and_epochs_allowed(self):
+        assert AdaptConfig(steps=0, warmup_steps=5).steps == 0
+        assert ContrastiveConfig(epochs=0).epochs == 0
+
+    @pytest.mark.parametrize("total", [1, 2, 19, 20, 30, 650])
+    def test_default_warmup_is_five_percent(self, total):
+        assert trainer.resolve_warmup(None, total) == int(round(0.05 * total)) < total
+
+    def test_contrastive_warmup_must_precede_steps(self, small_data):
+        """The contrastive step count is known only from the triples, so the
+        check runs when training starts, with the same message."""
+        corpus, queries, _, triples, vocab = small_data
+        cfg = ContrastiveConfig(epochs=1, global_batch_size=len(triples), warmup_steps=1)
+        with pytest.raises(ValueError, match="warmup_steps must be < steps"):
+            run_contrastive(small_model(vocab), triples, corpus, queries, vocab, cfg)
+
 
 class TestHelpers:
     def test_pack_sequences(self, small_data):
@@ -499,6 +529,54 @@ class TestContrastive:
         monkeypatch.setattr(trainer.ad, "attention", attention_chain)
         monkeypatch.setattr(trainer.ad, "slice_axis", slice_by_matmul)
         assert train() == fused
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("phase", ["adaptation", "contrastive"])
+    def test_sparsity_measured_after_the_timed_step(self, small_data, monkeypatch, phase):
+        """In both phases each row's sparsity is measured after the step's
+        AdamW update, outside step_ms."""
+        corpus, queries, _, triples, vocab = small_data
+        events = []
+        original_step, original_dims = trainer.AdamW.step, trainer.dead_dim_fraction
+
+        def step_spy(self, lr):
+            events.append("step")
+            return original_step(self, lr)
+
+        def dims_spy(reps):
+            events.append("sparsity")
+            return original_dims(reps)
+
+        monkeypatch.setattr(trainer.AdamW, "step", step_spy)
+        monkeypatch.setattr(trainer, "dead_dim_fraction", dims_spy)
+        if phase == "adaptation":
+            _, report = run_adaptation(small_model(vocab), corpus.values(), vocab,
+                                       AdaptConfig(steps=3, warmup_steps=1, seq_len=16))
+        else:
+            _, report = run_contrastive(small_model(vocab), triples, corpus, queries, vocab,
+                                        ContrastiveConfig(epochs=2, seed=0))
+        assert len(report) > 1 and events == ["step", "sparsity"] * len(report)
+
+    def test_adaptation_does_not_warn_when_dead(self, small_data, recwarn):
+        corpus, *_, vocab = small_data
+        model = small_model(vocab)
+        model.apply_logit_offset(-50.0)
+        _, report = run_adaptation(model, corpus.values(), vocab,
+                                   AdaptConfig(steps=2, warmup_steps=1, seq_len=16))
+        assert report.dead_frac == [1.0, 1.0]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_non_finite_loss_does_not_warn_empty(self, small_data, recwarn):
+        """A diverged contrastive step raises without first warning that its
+        (NaN) reps are empty."""
+        corpus, queries, _, triples, vocab = small_data
+        model = small_model(vocab)
+        model.params["tok_emb"].data[:] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            run_contrastive(model, triples, corpus, queries, vocab,
+                            ContrastiveConfig(epochs=1, seed=0))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestClipGradNorm:
