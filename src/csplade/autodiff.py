@@ -128,11 +128,15 @@ class Tensor:
             self.grad[...] = g
 
     def backward(self):
-        """Populate .grad on every reachable requires_grad tensor.
+        """Populate .grad on every reachable leaf that requires grad.
 
-        The graph is single-use: a second backward from the same loss
-        raises, so there is no silent-accumulation ambiguity. Callers
-        zero parameter grads explicitly before each new forward/backward.
+        Each interior node (one with a backward closure, other than this
+        root) loses its .grad and its closure, and with it the arrays the
+        closure saved, as soon as the closure has run; the root keeps its
+        data and grad. The graph is single-use: a second backward from the
+        same loss raises, so there is no silent-accumulation ambiguity.
+        Callers zero parameter grads explicitly before each new
+        forward/backward.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -144,6 +148,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node._backward = node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
 import time
 import traceback
@@ -61,7 +62,8 @@ def environment():
 def write_manifest(path, subcommand, args, outputs, stats=None):
     """The resolved config plus the environment, the sha256 of each input
     (hashed by `main` before the stage ran) and of each output, the stage's
-    wall time and, when given, the stage's `stats`."""
+    wall time, the process's peak RSS so far (MB; a running maximum over
+    everything the process has run) and, when given, the stage's `stats`."""
     wall_s = round(time.perf_counter() - args._started, 6)
     config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     manifest = {
@@ -70,6 +72,7 @@ def write_manifest(path, subcommand, args, outputs, stats=None):
         "env": environment(),
         "inputs": args._inputs,
         "outputs": {str(o): _sha256(o) for o in outputs},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "seed": config.get("seed"),
         "version": __version__,
         "wall_s": wall_s,
@@ -160,6 +163,7 @@ def cmd_adapt(args):
             n_heads=args.heads, max_seq_len=args.max_seq_len, variant=args.variant,
             seed=args.seed))
     model, report = trainer.run_adaptation(model, collection.values(), vocab, cfg)
+    args.seq_len = report.seq_len  # the manifest records the cap used
     vocab_out = Path(args.vocab_out or (Path(args.out).with_suffix(".vocab.txt")))
     vocab.save(vocab_out)
     return _save_trained(args, "adapt", model, report, [vocab_out])

@@ -106,6 +106,7 @@ class TrainReport:
     def __init__(self):
         self.columns = {name: [] for name, _ in self.COLUMNS}
         self.warmup_steps = None  # the count the training loop used
+        self.seq_len = None  # adaptation's token cap per text
 
     def __getattr__(self, name):
         try:
@@ -294,7 +295,8 @@ def _train(phase, model, batches, objective, total_steps, cfg, max_norm):
     """The optimizer loop of both phases. Per batch: zero-grad, `objective(step,
     batch)` -> (loss, {column: float}, reps), finite check, backward, clipping
     to `max_norm`, cosine LR and AdamW, which `step_ms` times; then the
-    sparsity of `reps()`, the step's (query or None, document) reps."""
+    sparsity of `reps()`, the step's (query or None, document) reps. The
+    step's graph is released before the next step's forward."""
     report = TrainReport()
     report.warmup_steps = warmup = resolve_warmup(cfg.warmup_steps, total_steps)
     optimizer = AdamW(model.params)
@@ -313,6 +315,7 @@ def _train(phase, model, batches, objective, total_steps, cfg, max_norm):
         step_ms = (time.perf_counter() - t0) * 1e3
         report.append(step, **terms, total=float(total.data), lr=lr, step_ms=step_ms,
                       grad_norm=norm, **_sparsity(*reps()))
+        del total, reps  # free this step's graph before the next forward
     return report
 
 
@@ -338,7 +341,9 @@ def run_adaptation(model: EncoderModel, texts, vocab: Vocabulary, cfg: AdaptConf
 
         return total, dict(clm=float(clm.data), relu_clm=float(relu_clm.data)), reps
 
-    return model, _train("adaptation", model, batches, objective, cfg.steps, cfg, np.inf)
+    report = _train("adaptation", model, batches, objective, cfg.steps, cfg, np.inf)
+    report.seq_len = seq_len
+    return model, report
 
 
 def run_contrastive(model: EncoderModel, triples, corpus, queries,

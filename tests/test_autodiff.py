@@ -373,11 +373,12 @@ class TestGradientStorage:
 
     def test_embedding_does_not_write_into_a_shared_gradient(self):
         w = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
-        shifted = ad.add(w, Tensor(np.zeros((3, 2), dtype=np.float32)))
+        b = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
+        shifted = ad.add(w, b)  # w's first gradient is the array b keeps as its grad
         loss = ad.add(ad.sum_over_axis(shifted), ad.sum_over_axis(ad.embedding(w, [0, 0, 2])))
         loss.backward()
         np.testing.assert_array_equal(w.grad, [[3, 3], [1, 1], [2, 2]])
-        np.testing.assert_array_equal(shifted.grad, np.ones((3, 2)))
+        np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
 
 
 class TestNoGrad:
@@ -608,10 +609,10 @@ def test_float32_gelu_makes_no_float64_temporaries(monkeypatch):
     x = Tensor(np.random.default_rng(17).normal(size=(3, 4)).astype(np.float32),
                requires_grad=True)
     out = ad.gelu(x)
+    saved = [c.cell_contents for c in out._backward.__closure__]  # the derivative
     ad.sum_over_axis(ad.mul(out, Tensor(np.ones((3, 4), dtype=np.float32)))).backward()
     assert seen == []  # float32 never reaches the float64 math.erf loop
     assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
-    saved = [c.cell_contents for c in out._backward.__closure__]  # the derivative
     assert all(v.dtype == np.float32 for v in saved if isinstance(v, np.ndarray))
 
 

@@ -131,6 +131,24 @@ class TestPipeline:
         assert manifest["inputs"] == {str(work / "run.txt"): sha(work / "run.txt"),
                                       str(data / "qrels.txt"): sha(data / "qrels.txt")}
 
+    def test_manifests_record_peak_rss(self, pipeline):
+        work, data = pipeline
+        for path in [data / "manifest.json", *work.glob("*.manifest.json")]:
+            manifest = json.loads(path.read_text())
+            assert manifest["peak_rss_mb"] > 0, path
+            assert "peak_rss_mb" not in manifest["env"], path
+
+    def test_adapt_manifest_records_the_seq_len_cap(self, pipeline, tmp_path):
+        """Texts are cut at min(--seq-len, --max-seq-len); the manifest
+        records the cap used, not the requested length."""
+        _, data = pipeline
+        out = tmp_path / "a.ckpt"
+        assert run_cli("adapt", "--corpus", data / "corpus.tsv", "--steps", 2,
+                       "--vocab-out", tmp_path / "v.txt", "--out", out) == 0
+        config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+        assert AdaptConfig.seq_len == 128 and EncoderConfig.max_seq_len == 64
+        assert config["seq_len"] == 64
+
     def test_manifests_hash_outputs(self, pipeline):
         work, data = pipeline
 

@@ -1,5 +1,7 @@
 """Training-loop tests: schedules, determinism, diagnostics, contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from csplade import autodiff as ad, trainer
 from csplade.autodiff import Tensor
 from csplade.corpus import SynthSpec, build_vocab, synth_generate, tokenize
 from csplade.encoder import BOS_ID, EncoderConfig, EncoderModel
+from csplade.splade import adaptation_loss_batch
 from csplade.trainer import (AdamW, AdaptConfig, ContrastiveConfig,
                              TrainingDivergedError, TrainReport, cosine_lr,
                              dead_dim_fraction, empty_rep_fraction,
@@ -577,6 +580,51 @@ class TestSharedLoop:
             run_contrastive(model, triples, corpus, queries, vocab,
                             ContrastiveConfig(epochs=1, seed=0))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestGraphLifetime:
+    """Backward frees each interior node's grad and saved arrays, and the
+    loop frees a step's graph before the next step's forward."""
+
+    def test_backward_keeps_only_leaf_grads(self, small_data):
+        corpus, *_, vocab = small_data
+        model = small_model(vocab)
+        seqs = [tokenize(t, vocab, max_len=16) for t in list(corpus.values())[:4]]
+        ids, lengths, _ = pack_sequences(seqs)
+        loss, _, _ = adaptation_loss_batch(model.forward_batch(ids, lengths), ids,
+                                           lengths, 1.0)
+        loss.backward()
+        interior = [n for n in ad._toposort(loss) if n._parents and n is not loss]
+        assert len(interior) > 20
+        assert all(n.grad is None and n._backward is None for n in interior)
+        assert all(p.grad is not None for p in model.params.values())
+        assert loss.grad is not None and np.isfinite(loss.data)
+        with pytest.raises(RuntimeError, match="twice"):
+            loss.backward()
+
+    @pytest.mark.parametrize("phase", ["adaptation", "contrastive"])
+    def test_step_graph_freed_before_next_forward(self, small_data, monkeypatch, phase):
+        """Weak references to the data of every node of step n's graph are
+        dead when the objective is entered for step n + 1."""
+        corpus, queries, _, triples, vocab = small_data
+        train, alive = trainer._train, []
+
+        def spy_train(name, model, batches, objective, *rest):
+            def watched(step, batch):
+                assert not [r for r in alive if r() is not None], f"step {step - 1} is alive"
+                total, terms, reps = objective(step, batch)
+                alive[:] = [weakref.ref(n.data) for n in ad._toposort(total) if n._parents]
+                return total, terms, reps
+            return train(name, model, batches, watched, *rest)
+
+        monkeypatch.setattr(trainer, "_train", spy_train)
+        if phase == "adaptation":
+            _, report = run_adaptation(small_model(vocab), corpus.values(), vocab,
+                                       AdaptConfig(steps=3, warmup_steps=1, seq_len=16))
+        else:
+            _, report = run_contrastive(small_model(vocab), triples, corpus, queries, vocab,
+                                        ContrastiveConfig(epochs=2, seed=0))
+        assert len(report) > 1 and alive
 
 
 class TestClipGradNorm:
