@@ -17,6 +17,7 @@ import resource
 import sys
 import time
 import traceback
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -181,19 +182,47 @@ def cmd_train(args):
     return _save_trained(args, "train", model, report)
 
 
+def _require_words(path, texts, kind):
+    """Raise naming the first of `texts` ({id: text}, read from `path`) with
+    no words: the encoder has no content to pool (or, under echo, to repeat)."""
+    for key, text in texts.items():
+        if not corpus_mod.words(text):
+            raise ValueError(f"{path}: {kind} {key!r} has no words to encode")
+
+
+def _encode_blocks(model, vocab, texts):
+    """(doc_id, SparseRep) of each of `texts` ({id: text}), encoded
+    `splade.READ_BLOCK_LINES` at a time, so that a consumer holds one
+    block's reps at once."""
+    items = iter(texts.items())
+    while block := list(islice(items, splade.READ_BLOCK_LINES)):
+        doc_ids, block_texts = zip(*block)
+        yield from zip(doc_ids, trainer.encode_texts(model, vocab, block_texts))
+
+
 def cmd_encode(args):
+    """Encode --input and write its reps a block at a time to a temporary
+    sibling of --out, moved onto --out only once every line is written."""
     model, vocab = _load_model(args)
-    texts = corpus_mod.load_tsv(args.input)
-    reps = trainer.encode_texts(model, vocab, texts.values())
-    splade.write_reps(args.out, zip(texts.keys(), reps))
-    write_manifest(str(args.out) + ".manifest.json", "encode", args, [args.out])
+    texts = corpus_mod.load_tsv(args.input)  # whole, so later edits to it are not seen
+    _require_words(args.input, texts, "document")
+    out = Path(args.out)
+    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        stats = splade.write_reps(tmp, _encode_blocks(model, vocab, texts))
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    stats["nnz_mean"] = stats["postings"] / stats["docs"] if stats["docs"] else None
+    write_manifest(str(args.out) + ".manifest.json", "encode", args, [args.out], stats)
     return 0
 
 
 def cmd_index(args):
     vocab = corpus_mod.Vocabulary.load(args.vocab)
-    reps = splade.read_reps(args.reps, vocab.size)
-    idx = index_mod.build_index(reps, bits=args.bits)
+    # no name holds the reps batch: only the index is alive while it is written
+    idx = index_mod.build_index(splade.read_reps(args.reps, vocab.size), bits=args.bits)
     index_mod.serialize(idx, args.out)
     postings = sum(len(p.ordinals) for p in idx.postings.values())
     size = Path(args.out).stat().st_size
@@ -218,6 +247,7 @@ def cmd_search(args):
     else:
         if not (args.index and args.model and args.vocab):
             raise ValueError("model search requires --index, --model and --vocab")
+        _require_words(args.queries, queries, "query")
         idx = index_mod.deserialize(args.index)
         model, vocab = _load_model(args)
         for qid, text in queries.items():

@@ -116,44 +116,65 @@ def echo_expand(seq: TokenSequence, max_seq_len: int) -> TokenSequence:
     return TokenSequence(out, span=(n + 2, 2 * n + 2))
 
 
-def _init_params(cfg: EncoderConfig):
-    """Ordered parameter dict; iteration order is the checkpoint block order."""
-    rng = np.random.default_rng(cfg.seed)
+def _param_layout(cfg: EncoderConfig):
+    """(name, shape, init) of each parameter in checkpoint block order, where
+    init(rng, shape) returns the float64 initial values. The random inits
+    draw from one generator in this order."""
     d, v = cfg.d_model, cfg.vocab_size
     proj_std = 0.02 / np.sqrt(cfg.n_layers)
 
-    def p(arr):
-        return Tensor(arr.astype(np.float32), requires_grad=True)
+    def normal(std):
+        return lambda rng, shape: rng.normal(0.0, std, shape)
 
-    params = {}
-    params["tok_emb"] = p(rng.normal(0.0, 0.02, (v, d)))
-    params["pos_emb"] = p(rng.normal(0.0, 0.02, (cfg.max_seq_len, d)))
+    def ones(rng, shape):
+        return np.ones(shape)
+
+    def zeros(rng, shape):
+        return np.zeros(shape)
+
+    yield "tok_emb", (v, d), normal(0.02)
+    yield "pos_emb", (cfg.max_seq_len, d), normal(0.02)
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        params[pre + "ln1_g"] = p(np.ones(d))
-        params[pre + "ln1_b"] = p(np.zeros(d))
+        yield pre + "ln1_g", (d,), ones
+        yield pre + "ln1_b", (d,), zeros
         for name in ("wq", "wk", "wv", "wo"):
-            params[pre + name] = p(rng.normal(0.0, proj_std, (d, d)))
+            yield pre + name, (d, d), normal(proj_std)
         for name in ("bq", "bk", "bv", "bo"):
-            params[pre + name] = p(np.zeros(d))
-        params[pre + "ln2_g"] = p(np.ones(d))
-        params[pre + "ln2_b"] = p(np.zeros(d))
-        params[pre + "w1"] = p(rng.normal(0.0, proj_std, (d, 4 * d)))
-        params[pre + "b1"] = p(np.zeros(4 * d))
-        params[pre + "w2"] = p(rng.normal(0.0, proj_std, (4 * d, d)))
-        params[pre + "b2"] = p(np.zeros(d))
-    params["lnf_g"] = p(np.ones(d))
-    params["lnf_b"] = p(np.zeros(d))
-    params["logit_bias"] = p(np.zeros(v))
-    return params
+            yield pre + name, (d,), zeros
+        yield pre + "ln2_g", (d,), ones
+        yield pre + "ln2_b", (d,), zeros
+        yield pre + "w1", (d, 4 * d), normal(proj_std)
+        yield pre + "b1", (4 * d,), zeros
+        yield pre + "w2", (4 * d, d), normal(proj_std)
+        yield pre + "b2", (d,), zeros
+    yield "lnf_g", (d,), ones
+    yield "lnf_b", (d,), zeros
+    yield "logit_bias", (v,), zeros
+
+
+def _param(arr):
+    return Tensor(arr.astype(np.float32), requires_grad=True)
 
 
 class EncoderModel:
-    """Decoder transformer; LM head is the transposed token embedding."""
+    """Decoder transformer; LM head is the transposed token embedding.
+    `params` iterates in checkpoint block order."""
 
     def __init__(self, cfg: EncoderConfig):
+        rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
-        self.params = _init_params(cfg)
+        self.params = {name: _param(init(rng, shape)) for name, shape, init in _param_layout(cfg)}
+
+    @classmethod
+    def from_arrays(cls, cfg: EncoderConfig, arrays):
+        """A model holding a float32 copy of `arrays` ({name: array}, one
+        per parameter, of its size), drawing no random init."""
+        model = cls.__new__(cls)
+        model.cfg = cfg
+        model.params = {name: _param(np.asarray(arrays[name]).reshape(shape))
+                        for name, shape, _ in _param_layout(cfg)}
+        return model
 
     def zero_grad(self):
         for p in self.params.values():
@@ -281,18 +302,18 @@ class EncoderModel:
             raise ValueError(f"unterminated config block in checkpoint {path}: "
                              "no blank line after the config")
         cfg = EncoderConfig.from_text(blob[len(CHECKPOINT_MAGIC) + 1:head_end].decode("utf-8"))
-        model = cls(cfg)
+        arrays = {}
         offset = head_end + 2
-        for name, p in model.params.items():
-            size = p.data.size
+        for name, shape, _ in _param_layout(cfg):
+            size = int(np.prod(shape))
             if offset + 4 * size > len(blob):
                 raise ValueError(f"checkpoint truncated at parameter {name}")
-            p.data = np.frombuffer(blob, "<f4", size, offset).reshape(p.data.shape).astype(np.float32)
+            arrays[name] = np.frombuffer(blob, "<f4", size, offset)
             offset += 4 * size
             # a float64 sum of float32 values cannot overflow: it is finite
             # exactly when every weight is, with no array-sized temporary
-            if not np.isfinite(p.data.sum(dtype=np.float64)):
+            if not np.isfinite(arrays[name].sum(dtype=np.float64)):
                 raise ValueError(f"non-finite weights in {name}")
         if offset != len(blob):
             raise ValueError("trailing bytes after final parameter block")
-        return model
+        return cls.from_arrays(cfg, arrays)

@@ -76,14 +76,8 @@ class QuantizedModel:
 
     def dequantized_model(self) -> EncoderModel:
         if self._dequantized is None:
-            model = EncoderModel(self.cfg)
-            for name, p in model.params.items():
-                if name in self.blocks:
-                    codes, scales, shape = self.blocks[name]
-                    p.data = _dequantize_array(codes, scales, shape)
-                else:
-                    p.data = self.fp_params[name].copy()
-            self._dequantized = model
+            arrays = {name: _dequantize_array(*block) for name, block in self.blocks.items()}
+            self._dequantized = EncoderModel.from_arrays(self.cfg, {**arrays, **self.fp_params})
         return self._dequantized
 
 

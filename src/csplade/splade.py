@@ -171,11 +171,18 @@ def adaptation_loss_batch(logits: Tensor, ids: np.ndarray, lengths: np.ndarray,
 # --- SparseRep text format: docid<TAB>term:weight term:weight ... ---
 
 def write_reps(path, reps):
-    """reps: a RepsBatch or any iterable of (doc_id, SparseRep)."""
+    """Write reps, a RepsBatch or any iterable of (doc_id, SparseRep), each
+    line as its pair arrives. Returns the counts of what was written:
+    {"docs", "postings", "empty_reps"}."""
+    docs = postings = empty = 0
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc_id, rep in reps:
             pairs = " ".join(map("{}:{:.6f}".format, rep.term_ids.tolist(), rep.weights.tolist()))
             f.write(f"{doc_id}\t{pairs}\n")
+            docs += 1
+            postings += rep.nnz
+            empty += not rep.nnz
+    return {"docs": docs, "postings": postings, "empty_reps": empty}
 
 
 def read_reps(path, vocab_size) -> RepsBatch:

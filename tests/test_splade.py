@@ -344,7 +344,8 @@ class TestRepsFile:
         assert packed.indptr.tolist() == batch.indptr.tolist()
         assert packed.term_ids.tolist() == batch.term_ids.tolist()
         np.testing.assert_allclose(packed.weights, batch.weights, atol=5e-7)
-        write_reps(again, batch)
+        assert write_reps(again, batch) == {"docs": len(reps), "postings": int(batch.indptr[-1]),
+                                            "empty_reps": sum(r.nnz == 0 for _, r in reps)}
         assert again.read_bytes() == path.read_bytes()
         reread = read_reps(again, 300)
         assert reread.doc_ids == batch.doc_ids
