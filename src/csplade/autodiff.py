@@ -2,11 +2,27 @@
 
 Just enough op coverage to train the toy encoder: matmuls, pointwise
 nonlinearities, reductions, layer norm, softmax, cross-entropy, slicing
-and a fused multi-head attention node. Training runs in float32; gradient
-checking should be done in float64 (pass dtype=np.float64 when building the
-leaf tensors). Every op computes its data, defines its backward and
-returns through `_make`, the one place that decides whether to record a
-graph node: never inside `no_grad()`, and only when an input requires grad.
+and fused nodes for the encoder's layers. Training runs in float32;
+gradient checking should be done in float64 (pass dtype=np.float64 when
+building the leaf tensors). Every op computes its data, defines its
+backward and returns through `_make`, the one place that decides whether to
+record a graph node: never inside `no_grad()`, and only when an input
+requires grad.
+
+A graph node keeps its output alive until the step's graph is dropped, and
+its backward closure keeps whatever it saved. The fused nodes therefore
+save only what their own backward reads, and each gives the values and
+gradients of the primitive chain it replaces bit for bit:
+
+- `affine`: a @ w + bias (+ residual), with the adds made in place in the
+  GEMM output; it saves nothing beyond its inputs.
+- `feed_forward`: residual + gelu(a @ w1 + b1) @ w2 + b2; it saves the
+  pre-activation a @ w1 + b1 and recomputes GELU and its derivative from it
+  in backward.
+- `attention`: multi-head attention; it saves the split heads and the
+  softmax.
+- `max_over_axis(..., where=mask)`: a max over unmasked entries; it saves
+  the argmax indices, not a masked copy of its input.
 """
 
 from __future__ import annotations
@@ -24,6 +40,8 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "affine",
+    "feed_forward",
     "relu",
     "gelu",
     "reparam_relu",
@@ -257,19 +275,69 @@ def matmul(a, b):
     than one GEMM per batch entry and a sum.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    a2 = a.data.reshape(-1, a.shape[-1])
+    a2 = _matmul_rows(a, b, "matmul")
     data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def backward(g):
-        g2 = g.reshape(-1, b.shape[1])
-        if a.requires_grad:
-            a._accumulate((g2 @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            b._accumulate(a2.T @ g2)
+        _matmul_backward(a, b, a2, g)
 
     return _make(data, (a, b), "matmul", backward)
+
+
+def _matmul_rows(a, b, op):
+    """`a`'s data folded to (rows, k) for a GEMM with the (k, n) `b`."""
+    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    return a.data.reshape(-1, a.shape[-1])
+
+
+def _matmul_backward(a, b, a2, g):
+    """Accumulate the gradients of a2 @ b (`a2` is `a` folded to rows) for
+    the incoming gradient `g`, in `a` and then in `b`."""
+    g2 = g.reshape(-1, b.shape[1])
+    if a.requires_grad:
+        a._accumulate((g2 @ b.data.T).reshape(a.shape))
+    if b.requires_grad:
+        b._accumulate(a2.T @ g2)
+
+
+def _check_operand(t, shape, op, name):
+    if t.shape != shape:
+        raise ShapeError(f"{op}: {name} {t.shape} does not match {shape}")
+
+
+def affine(a, w, bias, residual=None):
+    """a @ w + bias, plus `residual` when given, as one graph node.
+
+    Values and gradients equal those of add(matmul(a, w), bias) and of
+    add(residual, add(matmul(a, w), bias)) bit for bit: the adds are made
+    in place in the GEMM output (x + t equals t + x in IEEE arithmetic), and
+    the backward is add's for the residual and the bias, then matmul's for
+    `a` and `w`. `bias` has shape (n,) for a (k, n) `w`; `residual` has the
+    output's shape. The node saves no array beyond its inputs.
+    """
+    a, w, bias = _as_tensor(a), _as_tensor(w), _as_tensor(bias)
+    a2 = _matmul_rows(a, w, "affine")
+    shape = a.shape[:-1] + w.shape[1:]
+    _check_operand(bias, w.shape[1:], "affine", "bias")
+    data = a2 @ w.data
+    data += bias.data
+    data = data.reshape(shape)
+    parents = (a, w, bias)
+    if residual is not None:
+        residual = _as_tensor(residual)
+        _check_operand(residual, shape, "affine", "residual")
+        data += residual.data
+        parents += (residual,)
+
+    def backward(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(_unbroadcast(g, residual.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        _matmul_backward(a, w, a2, g)
+
+    return _make(data, parents, "affine", backward)
 
 
 def relu(a):
@@ -363,6 +431,53 @@ def gelu(a):
     return _make(data, (a,), "gelu", backward)
 
 
+def feed_forward(a, w1, b1, w2, b2, residual):
+    """residual + gelu(a @ w1 + b1) @ w2 + b2 as one graph node.
+
+    Values and gradients equal those of the chain
+    add(residual, add(matmul(gelu(add(matmul(a, w1), b1)), w2), b2)) bit for
+    bit, for a (k, m) `w1`, (m, n) `w2` and a `residual` of the output's
+    shape; the bias and residual adds are made in place as in `affine`. The
+    node saves only the pre-activation h = a @ w1 + b1; backward recomputes
+    GELU and its derivative from h (`_gelu` is deterministic, so they equal
+    the forward's) and frees each as soon as it has been used.
+    """
+    a, w1, b1, w2, b2, residual = map(_as_tensor, (a, w1, b1, w2, b2, residual))
+    a2 = _matmul_rows(a, w1, "feed_forward")
+    _check_operand(b1, w1.shape[1:], "feed_forward", "b1")
+    _check_operand(w2, w1.shape[1:] + b2.shape, "feed_forward", "w2")
+    h_shape = a.shape[:-1] + w1.shape[1:]
+    _check_operand(residual, a.shape[:-1] + b2.shape, "feed_forward", "residual")
+    h = a2 @ w1.data
+    h += b1.data
+    mid, _ = _gelu(h, False)
+    data = mid @ w2.data
+    del mid
+    data += b2.data
+    data = data.reshape(residual.shape)
+    data += residual.data
+
+    def backward(g):
+        if residual.requires_grad:
+            residual._accumulate(_unbroadcast(g, residual.shape))
+        if b2.requires_grad:
+            b2._accumulate(_unbroadcast(g, b2.shape))
+        g2 = g.reshape(-1, w2.shape[1])
+        mid, deriv = _gelu(h, True)
+        if w2.requires_grad:
+            w2._accumulate(mid.T @ g2)
+        del mid
+        gh = g2 @ w2.data.T
+        gh *= deriv
+        del deriv
+        gh = gh.reshape(h_shape)
+        if b1.requires_grad:
+            b1._accumulate(_unbroadcast(gh, b1.shape))
+        _matmul_backward(a, w1, a2, gh)
+
+    return _make(data, (a, w1, b1, w2, b2, residual), "feed_forward", backward)
+
+
 def reparam_relu(a):
     """Forward identical to relu; backward uses the GeLU derivative.
 
@@ -421,17 +536,36 @@ def reshape(a, shape):
     return _make(data, (a,), "reshape", backward)
 
 
-def max_over_axis(a, axis):
-    """Max reduction; gradient routes to the first argmax along `axis`."""
+MASKED_MAX_FILL = -1e30  # what max_over_axis reads at masked-out entries
+
+
+def max_over_axis(a, axis, where=None):
+    """Max reduction; gradient routes to the first argmax along `axis`.
+
+    With `where`, a bool mask broadcastable to a's shape, the entries where
+    it is False read as MASKED_MAX_FILL: values and gradients equal those of
+    max_over_axis(masked_fill(a, ~where, MASKED_MAX_FILL), axis) bit for
+    bit. The masked copy is a temporary of the forward; the node saves only
+    the argmax indices.
+    """
     a = _as_tensor(a)
     if a.shape[axis] == 0:
         raise ShapeError(f"max_over_axis: empty axis {axis} of shape {a.shape}")
-    data = a.data.max(axis=axis)
+    if where is None:
+        x = a.data
+    else:
+        where = np.broadcast_to(np.asarray(where, dtype=bool), a.shape)
+        x = np.where(where, a.data, a.dtype.type(MASKED_MAX_FILL))
+    data = x.max(axis=axis)
+    idx = np.expand_dims(x.argmax(axis=axis), axis)
+    del x
 
     def backward(g):
-        idx = np.expand_dims(a.data.argmax(axis=axis), axis)
+        g = np.expand_dims(g, axis)
+        if where is not None:  # masked_fill's backward: no gradient at a masked argmax
+            g = np.where(np.take_along_axis(where, idx, axis), g, a.dtype.type(0))
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
+        np.put_along_axis(full, idx, g, axis)
         a._accumulate(full)
 
     return _make(data, (a,), "max_over_axis", backward)

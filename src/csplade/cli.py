@@ -133,15 +133,16 @@ def cmd_synth(args):
     return 0
 
 
-def _save_trained(args, subcommand, model, report, outputs=()):
-    """Write a training phase's checkpoint, --report and manifest."""
+def _save_trained(args, subcommand, model, report, outputs=(), stats=None):
+    """Write a training phase's checkpoint, --report and manifest (with
+    `stats`, when given)."""
     args.warmup = report.warmup_steps  # the manifest records the count used
     model.save(args.out)
     outputs = [args.out, *outputs]
     if args.report:
         report.to_csv(args.report)
         outputs.append(args.report)
-    write_manifest(str(args.out) + ".manifest.json", subcommand, args, outputs)
+    write_manifest(str(args.out) + ".manifest.json", subcommand, args, outputs, stats)
     return 0
 
 
@@ -178,8 +179,14 @@ def cmd_train(args):
     cfg = ContrastiveConfig(epochs=args.epochs, global_batch_size=args.batch, lr=args.lr,
                             hard_negatives_per_positive=args.hard_negs, warmup_steps=args.warmup,
                             lambda_q=args.lambda_q, lambda_d=args.lambda_d, seed=args.seed)
+    # the training texts: every query and document the triples name
+    qids = {t["query_id"] for t in triples}
+    dids = {d for t in triples for d in t["positive_ids"] + t["negative_ids"]}
+    texts = [queries[q] for q in qids if q in queries] + \
+        [collection[d] for d in dids if d in collection]
+    stats = trainer.truncation_stats(texts, model.cfg)
     model, report = trainer.run_contrastive(model, triples, collection, queries, vocab, cfg)
-    return _save_trained(args, "train", model, report)
+    return _save_trained(args, "train", model, report, stats=stats)
 
 
 def _require_words(path, texts, kind):
@@ -215,6 +222,7 @@ def cmd_encode(args):
         tmp.unlink(missing_ok=True)
         raise
     stats["nnz_mean"] = stats["postings"] / stats["docs"] if stats["docs"] else None
+    stats.update(trainer.truncation_stats(texts.values(), model.cfg))
     write_manifest(str(args.out) + ".manifest.json", "encode", args, [args.out], stats)
     return 0
 
@@ -235,14 +243,14 @@ def cmd_index(args):
 
 def cmd_search(args):
     queries = corpus_mod.load_queries(args.queries)
-    run = {}
+    run, stats = {}, None
     if args.bm25:
         if not args.corpus:
             raise ValueError("--bm25 search requires --corpus")
         collection = corpus_mod.load_corpus(args.corpus)
-        stats = evalkit.build_stats(collection)
+        collection_stats = evalkit.build_stats(collection)
         for qid, text in queries.items():
-            run[qid] = evalkit.bm25_search(collection, text, stats, args.k)
+            run[qid] = evalkit.bm25_search(collection, text, collection_stats, args.k)
         tag = "bm25"
     else:
         if not (args.index and args.model and args.vocab):
@@ -254,8 +262,9 @@ def cmd_search(args):
             rep = trainer.encode_texts(model, vocab, [text])[0]
             run[qid] = index_mod.search(idx, rep, args.k)
         tag = f"csplade-{args.variant}"
+        stats = trainer.truncation_stats(queries.values(), model.cfg)
     index_mod.write_run(args.out, run, tag=tag)
-    write_manifest(str(args.out) + ".manifest.json", "search", args, [args.out])
+    write_manifest(str(args.out) + ".manifest.json", "search", args, [args.out], stats)
     return 0
 
 

@@ -24,17 +24,23 @@ class ParseError(ValueError):
 
 class Vocabulary:
     def __init__(self, tokens):
-        """tokens: non-reserved token strings in id order (ids start at 4)."""
+        """tokens: non-reserved token strings in id order (ids start at 4).
+
+        Only these content tokens are looked up: a text word spelled like a
+        reserved token is an ordinary unknown word, never a control id."""
         self.id_to_token = list(RESERVED) + list(tokens)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
+        self.token_to_id = {}
+        for i, t in enumerate(self.id_to_token[len(RESERVED):], len(RESERVED)):
+            if t in RESERVED or t in self.token_to_id:
+                raise ValueError(f"duplicate token {t!r} in vocabulary")
+            self.token_to_id[t] = i
 
     @property
     def size(self):
         return len(self.id_to_token)
 
     def lookup(self, token):
+        """The id of a text word: its content token's, else UNK_ID."""
         return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path):
@@ -65,21 +71,23 @@ def words(text):
 
 
 def build_vocab(texts, size=None):
-    """Frequency-ranked whitespace vocabulary; ties broken by first occurrence."""
+    """Frequency-ranked whitespace vocabulary; ties broken by first occurrence.
+    Words spelled like a reserved token are skipped: they read as unknown."""
     counts = {}
     order = {}
     for text in texts:
         for tok in words(text):
             counts[tok] = counts.get(tok, 0) + 1
             order.setdefault(tok, len(order))
-    ranked = sorted(counts, key=lambda t: (-counts[t], order[t]))
+    ranked = sorted(counts.keys() - set(RESERVED), key=lambda t: (-counts[t], order[t]))
     if size is not None:
         ranked = ranked[: max(0, size - len(RESERVED))]
     return Vocabulary(ranked)
 
 
 def tokenize(text, vocab: Vocabulary, max_len=64) -> TokenSequence:
-    """[BOS] + ids + [EOS], truncated to max_len; span = content + EOS."""
+    """[BOS] + ids + [EOS], truncated to max_len; span = content + EOS.
+    A word spelled like a reserved token gets UNK_ID (see Vocabulary)."""
     if max_len < 2:
         raise ValueError(f"tokenize: max_len must be >= 2 (BOS and EOS), got {max_len}")
     ids = [vocab.lookup(t) for t in words(text)]

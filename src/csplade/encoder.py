@@ -213,19 +213,16 @@ class EncoderModel:
         for i in range(cfg.n_layers):
             pre = f"layer{i}."
             hn = ad.layer_norm(x, pm[pre + "ln1_g"], pm[pre + "ln1_b"])
-            q = ad.add(ad.matmul(hn, pm[pre + "wq"]), pm[pre + "bq"])
-            k = ad.add(ad.matmul(hn, pm[pre + "wk"]), pm[pre + "bk"])
-            v = ad.add(ad.matmul(hn, pm[pre + "wv"]), pm[pre + "bv"])
+            q, k, v = (ad.affine(hn, pm[pre + "w" + c], pm[pre + "b" + c]) for c in "qkv")
             ctx = ad.attention(q, k, v, banned, cfg.n_heads)
-            x = ad.add(x, ad.add(ad.matmul(ctx, pm[pre + "wo"]), pm[pre + "bo"]))
+            x = ad.affine(ctx, pm[pre + "wo"], pm[pre + "bo"], residual=x)
 
             hn = ad.layer_norm(x, pm[pre + "ln2_g"], pm[pre + "ln2_b"])
-            mid = ad.gelu(ad.add(ad.matmul(hn, pm[pre + "w1"]), pm[pre + "b1"]))
-            x = ad.add(x, ad.add(ad.matmul(mid, pm[pre + "w2"]), pm[pre + "b2"]))
+            x = ad.feed_forward(hn, pm[pre + "w1"], pm[pre + "b1"], pm[pre + "w2"],
+                                pm[pre + "b2"], residual=x)
 
         x = ad.layer_norm(x, pm["lnf_g"], pm["lnf_b"])
-        logits = ad.add(ad.matmul(x, ad.transpose(pm["tok_emb"])), pm["logit_bias"])
-        return logits
+        return ad.affine(x, ad.transpose(pm["tok_emb"]), pm["logit_bias"])
 
     def _banned_keys(self, lengths, l):
         """The attention mask of a (B, L) batch: a bool array broadcastable

@@ -126,8 +126,7 @@ def pool_reps(logits: Tensor, span_mask: np.ndarray) -> Tensor:
     span_mask = np.asarray(span_mask, dtype=bool)
     if not span_mask.any(axis=1).all():
         raise ValueError("pool_reps: every sequence needs a non-empty content span")
-    masked = ad.masked_fill(logits, ~span_mask[:, :, None], -1e30)
-    return log_saturate(ad.max_over_axis(masked, axis=1))
+    return log_saturate(ad.max_over_axis(logits, 1, where=span_mask[:, :, None]))
 
 
 def splade_pool(logits: np.ndarray, content_span) -> SparseRep:

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import splade
 from .autodiff import Tensor
-from .corpus import Vocabulary, tokenize
+from .corpus import Vocabulary, tokenize, words
 from .encoder import PAD_ID, EncoderModel, TokenSequence, echo_expand
 from .splade import (WEIGHT_FLOOR, adaptation_loss_batch, flops_reg_t, pool_reps,
                      splade_pool)
@@ -233,13 +233,28 @@ def pack_sequences(seqs):
     return ids, lengths, span_mask
 
 
-def prepare_sequence(text, vocab, model_cfg, echo):
-    """Tokenize and optionally echo-expand to fit the model window."""
+def word_budget(model_cfg, echo):
+    """The most words of a text that `prepare_sequence` keeps: the model
+    window less BOS and EOS, or, echoed, room for two copies and a separator."""
     if echo:
-        budget = (model_cfg.max_seq_len - 3) // 2 + 2  # room to repeat content
-        seq = tokenize(text, vocab, max_len=budget)
-        return echo_expand(seq, model_cfg.max_seq_len)
-    return tokenize(text, vocab, max_len=model_cfg.max_seq_len)
+        return (model_cfg.max_seq_len - 3) // 2
+    return model_cfg.max_seq_len - 2
+
+
+def prepare_sequence(text, vocab, model_cfg, echo):
+    """Tokenize, keeping `word_budget` words, and optionally echo-expand to
+    fit the model window."""
+    seq = tokenize(text, vocab, max_len=word_budget(model_cfg, echo) + 2)
+    return echo_expand(seq, model_cfg.max_seq_len) if echo else seq
+
+
+def truncation_stats(texts, model_cfg):
+    """How many of `texts` `prepare_sequence` cuts for a model of config
+    `model_cfg` (echoed when its variant is echo), and how many words it
+    drops from them: {"truncated_texts", "dropped_words"}."""
+    budget = word_budget(model_cfg, model_cfg.variant == "echo")
+    cut = [n - budget for n in (len(words(t)) for t in texts) if n > budget]
+    return {"truncated_texts": len(cut), "dropped_words": sum(cut)}
 
 
 def encode_reps_tensor(model, seqs):

@@ -187,6 +187,50 @@ def attention_chain(q, k, v, banned, heads):
     return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, l, d))
 
 
+def affine_chain(a, w, bias, residual=None):
+    """add(matmul(a, w), bias), added to `residual` when given: the chain
+    that autodiff.affine fuses."""
+    from csplade import autodiff as ad
+    out = ad.add(ad.matmul(a, w), bias)
+    return out if residual is None else ad.add(residual, out)
+
+
+def feed_forward_chain(a, w1, b1, w2, b2, residual):
+    """The chain that autodiff.feed_forward fuses."""
+    from csplade import autodiff as ad
+    return affine_chain(ad.gelu(affine_chain(a, w1, b1)), w2, b2, residual)
+
+
+def masked_max_chain(a, axis, where):
+    """max_over_axis over masked_fill: the chain that max_over_axis(...,
+    where=) fuses."""
+    from csplade import autodiff as ad
+    return ad.max_over_axis(ad.masked_fill(a, ~np.asarray(where), ad.MASKED_MAX_FILL), axis)
+
+
+def forward_batch_chain(model, ids, lengths):
+    """EncoderModel.forward_batch's graph built from primitive nodes (and the
+    fused attention): the forward that the affine, feed-forward and masked
+    max nodes replaced. Same arguments and logits."""
+    from csplade import autodiff as ad
+    pm, cfg = model.params, model.cfg
+    b, l = ids.shape
+    banned = model._banned_keys(lengths, l)
+    x = ad.add(ad.embedding(pm["tok_emb"], ids),
+               ad.embedding(pm["pos_emb"], np.broadcast_to(np.arange(l), (b, l))))
+    for i in range(cfg.n_layers):
+        p = {name[len(f"layer{i}."):]: t for name, t in pm.items()
+             if name.startswith(f"layer{i}.")}
+        hn = ad.layer_norm(x, p["ln1_g"], p["ln1_b"])
+        q, k, v = (affine_chain(hn, p["w" + c], p["b" + c]) for c in "qkv")
+        ctx = ad.attention(q, k, v, banned, cfg.n_heads)
+        x = affine_chain(ctx, p["wo"], p["bo"], x)
+        hn = ad.layer_norm(x, p["ln2_g"], p["ln2_b"])
+        x = feed_forward_chain(hn, p["w1"], p["b1"], p["w2"], p["b2"], x)
+    x = ad.layer_norm(x, pm["lnf_g"], pm["lnf_b"])
+    return affine_chain(x, ad.transpose(pm["tok_emb"]), pm["logit_bias"])
+
+
 def slice_by_matmul(a, axis, start, stop):
     """Leading entries of axis -2 by multiplying with rows of an identity
     matrix: the selection autodiff.slice_axis replaced."""

@@ -287,6 +287,158 @@ def test_attention_gradient_matches_finite_differences(leaf, mask):
     assert grad_check(f, Tensor(rng.normal(size=(b, l, d)), dtype=np.float64)) < 1e-6
 
 
+# --- fused affine, feed-forward and masked max against their chains ---
+
+def _fused_grads(fn, arrays, upstream):
+    """(output data, [grad of each input]) of `fn` on fresh leaves of
+    `arrays`, all requiring grad, pulled back with the weights `upstream`."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+    out = fn(*leaves)
+    ad.sum_over_axis(ad.mul(out, Tensor(upstream))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def _assert_same_bits(fn, chain, arrays, upstream):
+    (fused, fused_grads), (ref, ref_grads) = (_fused_grads(f, arrays, upstream)
+                                              for f in (fn, chain))
+    assert fused.dtype == ref.dtype and fused.shape == ref.shape
+    assert fused.tobytes() == ref.tobytes()
+    for i, (got, want) in enumerate(zip(fused_grads, ref_grads)):
+        assert got.dtype == want.dtype and got.shape == want.shape, i
+        assert got.tobytes() == want.tobytes(), i
+
+
+def _saved_arrays(node, inputs):
+    """The arrays a node's backward closure keeps alive, each given by the
+    array that owns its memory, leaving out the inputs' data."""
+    owners = {}
+    for cell in node._backward.__closure__:
+        x = cell.cell_contents
+        if isinstance(x, np.ndarray):
+            while x.base is not None:
+                x = x.base
+            owners[id(x)] = x
+    for t in inputs:
+        owners.pop(id(t.data), None)
+    return list(owners.values())
+
+
+def _span_mask(rng, b, l):
+    """A (B, L, 1) mask with a non-empty, random span in every row."""
+    mask = rng.random((b, l, 1)) < 0.6
+    mask[np.arange(b), rng.integers(0, l, b), 0] = True
+    return mask
+
+
+class TestFusedNodes:
+    """affine, feed_forward and max_over_axis(where=) give the values and
+    every input's gradient of the primitive chains they replace, bit for
+    bit, and keep only what their backward reads."""
+
+    B, L, D, H, V = 4, 9, 16, 64, 50  # encoder-like: (B, L, d), 4d hidden, V logits
+
+    def arrays(self, seed, *shapes, dtype=np.float32):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=s).astype(dtype) for s in shapes]
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_affine_bit_identical(self, residual, dtype):
+        from conftest import affine_chain
+        b, l, d = self.B, self.L, self.D
+        *arrays, up = self.arrays(30, (b, l, d), (d, d), (d,), (b, l, d), (b, l, d), dtype=dtype)
+        if not residual:
+            arrays.pop()
+        _assert_same_bits(ad.affine, affine_chain, arrays, up)
+
+    def test_affine_with_transposed_weight(self):
+        # the tied LM head: x @ transpose(tok_emb) + logit_bias
+        from conftest import affine_chain
+        b, l, d, v = self.B, self.L, self.D, self.V
+        x, emb, bias, up = self.arrays(31, (b, l, d), (v, d), (v,), (b, l, v))
+        _assert_same_bits(lambda x, e, c: ad.affine(x, ad.transpose(e), c),
+                          lambda x, e, c: affine_chain(x, ad.transpose(e), c),
+                          [x, emb, bias], up)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_feed_forward_bit_identical(self, dtype):
+        from conftest import feed_forward_chain
+        b, l, d, h = self.B, self.L, self.D, self.H
+        *arrays, up = self.arrays(32, (b, l, d), (d, h), (h,), (h, d), (d,), (b, l, d),
+                                  (b, l, d), dtype=dtype)
+        _assert_same_bits(ad.feed_forward, feed_forward_chain, arrays, up)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_max_bit_identical(self, dtype):
+        from conftest import masked_max_chain
+        b, l, v = self.B, self.L, self.V
+        logits, up = self.arrays(33, (b, l, v), (b, v), dtype=dtype)
+        where = _span_mask(np.random.default_rng(34), b, l)
+        # a column whose unmasked entries all read the fill value: the first
+        # argmax is then a masked entry, which gets no gradient
+        where[0, :2, 0] = [False, True]
+        logits[0, :, 0] = ad.MASKED_MAX_FILL
+        logits[1] += 3.0 * ~where[1]  # masked entries hold row 1's true maxima
+        _assert_same_bits(lambda a: ad.max_over_axis(a, 1, where=where),
+                          lambda a: masked_max_chain(a, 1, where), [logits], up)
+
+    def test_saved_arrays(self):
+        b, l, d, h, v = self.B, self.L, self.D, self.H, self.V
+        x, w, c, w1, b1, w2, logits = (Tensor(a, requires_grad=True) for a in self.arrays(
+            35, (b, l, d), (d, d), (d,), (d, h), (h,), (h, d), (b, l, v)))
+        out = ad.affine(x, w, c, residual=x)
+        assert out.op == "affine" and _saved_arrays(out, (x, w, c)) == []
+        out = ad.feed_forward(x, w1, b1, w2, c, x)
+        saved = _saved_arrays(out, (x, w1, b1, w2, c))
+        assert [a.shape for a in saved] == [(b * l, h)]  # h = x @ w1 + b1 only
+        out = ad.max_over_axis(logits, 1, where=_span_mask(np.random.default_rng(36), b, l))
+        saved = _saved_arrays(out, (logits,))
+        assert sorted(a.size for a in saved) == [b * l, b * v]  # the mask and the argmax
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_affine_gradient_matches_finite_differences(self, i):
+        arrays = self.arrays(37, (2, 3, 4), (4, 5), (5,), (2, 3, 5), dtype=np.float64)
+        self._grad_check(ad.affine, arrays, i)
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_feed_forward_gradient_matches_finite_differences(self, i):
+        arrays = self.arrays(38, (2, 3, 4), (4, 8), (8,), (8, 4), (4,), (2, 3, 4),
+                             dtype=np.float64)
+        self._grad_check(ad.feed_forward, arrays, i)
+
+    def test_masked_max_gradient_matches_finite_differences(self):
+        arrays = self.arrays(39, (3, 4, 5), dtype=np.float64)
+        where = _span_mask(np.random.default_rng(40), 3, 4)
+        self._grad_check(lambda a: ad.max_over_axis(a, 1, where=where), arrays, 0)
+
+    @staticmethod
+    def _grad_check(fn, arrays, i):
+        """grad_check of fn's input `i`, the others held fixed, under a
+        random weighting of the output."""
+        fixed = [Tensor(x, dtype=np.float64) for x in arrays]
+        out_shape = fn(*fixed).shape
+        w = Tensor(np.random.default_rng(41).normal(size=out_shape), dtype=np.float64)
+
+        def f(x):
+            args = fixed[:i] + [x] + fixed[i + 1:]
+            return ad.sum_over_axis(ad.mul(fn(*args), w))
+
+        assert grad_check(f, Tensor(arrays[i], dtype=np.float64)) < 1e-6
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda x, w, c: ad.affine(x, w, c[:3]), "bias"),
+        (lambda x, w, c: ad.affine(x, w, c, residual=x[:, :2]), "residual"),
+        (lambda x, w, c: ad.affine(x, w[:3], c), "incompatible"),
+        (lambda x, w, c: ad.feed_forward(x, w, c, w[:3], c, x), "w2"),
+        (lambda x, w, c: ad.feed_forward(x, w, c[:3], w, c, x), "b1"),
+        (lambda x, w, c: ad.feed_forward(x, w, c, w, c, x[:1]), "residual"),
+    ])
+    def test_shape_errors(self, call, match):
+        x, w, c = self.arrays(42, (2, 3, 4), (4, 4), (4,))
+        with pytest.raises(ShapeError, match=match):
+            call(x, w, c)
+
+
 @pytest.mark.parametrize("axis, start, stop", [(0, 0, 2), (1, 1, 3), (-1, 0, 3), (2, 2, 4)])
 def test_slice_axis_gradient(axis, start, stop):
     rng = np.random.default_rng(3)
@@ -435,6 +587,11 @@ OP_CALLS = {
                   lambda q, k, v: ad.attention(q, k, v, np.eye(3, dtype=bool)[::-1], 2)),
     "softmax_cross_entropy": ([_X.reshape(6, 4)],
                               lambda z: ad.softmax_cross_entropy(z, [0, 1, 2, 3, 0, 1])),
+    "affine": ([_X, _RNG.random((4, 4)).astype(np.float32), _ROW, _K],
+               lambda a, w, b, r: ad.affine(a, w, b, residual=r)),
+    "feed_forward": ([_X, _RNG.random((4, 8)).astype(np.float32),
+                      _RNG.random(8).astype(np.float32), _RNG.random((8, 4)).astype(np.float32),
+                      _ROW, _K], ad.feed_forward),
 }
 OP_NAMES = sorted(OP_CALLS)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import csplade
-from csplade import trainer
+from csplade import corpus as corpus_mod, trainer
 from csplade.cli import build_parser, environment, main
 from csplade.corpus import SynthSpec, Vocabulary
 from csplade.encoder import EncoderConfig, EncoderModel
@@ -191,7 +191,8 @@ class TestPipeline:
                for line in (work / "reps.txt").read_text().splitlines()]
         manifest = json.loads((work / "reps.txt.manifest.json").read_text())
         assert manifest["stats"] == {"docs": 40, "postings": sum(nnz),
-                                     "empty_reps": nnz.count(0), "nnz_mean": sum(nnz) / 40}
+                                     "empty_reps": nnz.count(0), "nnz_mean": sum(nnz) / 40,
+                                     "truncated_texts": 0, "dropped_words": 0}
 
     def test_metrics_csv_shape(self, pipeline):
         work, _ = pipeline
@@ -599,6 +600,65 @@ class TestEncodeBytes:
             trained.read_bytes(), _without_step_ms(tmp_path / "adapt.csv"),
             _without_step_ms(tmp_path / "train.csv")))
         assert got == self.PINNED[variant]
+
+
+class TestWhatTheEncoderSaw:
+    """Words spelled like control tokens are unknown words, and the stages
+    that encode text count the texts the model window cuts. An echo model at
+    max_seq_len 16 keeps (16 - 3) // 2 = 6 words of a text."""
+
+    @pytest.fixture(scope="class")
+    def echo_model(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("echo")
+        Vocabulary([f"w{i}" for i in range(10)]).save(work / "vocab.txt")
+        EncoderModel(EncoderConfig(vocab_size=14, d_model=16, n_layers=1, n_heads=2,
+                                   max_seq_len=16, variant="echo")).save(work / "m.ckpt")
+        return work
+
+    def test_encode_search_control_words_and_truncation(self, echo_model, tmp_path):
+        model, vocab = echo_model / "m.ckpt", echo_model / "vocab.txt"
+        docs = tmp_path / "docs.tsv"
+        docs.write_text("d0\t<bos> <eos>\nd1\tw0 w1 w2 w3 w4 w5 w6 w7 w8 w9\n"
+                        "d2\tw1 w2\nd3\tzz yy\n")
+        reps = tmp_path / "reps.txt"
+        assert run_cli("encode", "--model", model, "--vocab", vocab, "--input", docs,
+                       "--out", reps) == 0
+        lines = reps.read_text().splitlines()
+        assert lines[0].partition("\t")[2] == lines[3].partition("\t")[2]  # two unknown words
+        stats = json.loads(Path(f"{reps}.manifest.json").read_text())["stats"]
+        assert (stats["truncated_texts"], stats["dropped_words"]) == (1, 4)
+
+        idx = tmp_path / "index.bin"
+        assert run_cli("index", "--reps", reps, "--vocab", vocab, "--out", idx) == 0
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("q0\t<pad> <eos>\nq1\tw0 w1 w2 w3 w4 w5 w6 w7\n")
+        run = tmp_path / "run.txt"
+        assert run_cli("search", "--queries", queries, "--index", idx, "--model", model,
+                       "--vocab", vocab, "--out", run) == 0
+        stats = json.loads(Path(f"{run}.manifest.json").read_text())["stats"]
+        assert stats == {"truncated_texts": 1, "dropped_words": 2}
+
+    def test_train_counts_truncated_training_texts(self, synth_dir, tmp_path):
+        corpus = corpus_mod.load_corpus(synth_dir / "corpus.tsv")
+        queries = corpus_mod.load_queries(synth_dir / "queries.tsv")
+        vocab = corpus_mod.build_vocab(list(corpus.values()) + list(queries.values()))
+        vocab.save(tmp_path / "vocab.txt")
+        EncoderModel(EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
+                                   max_seq_len=16, variant="echo")).save(tmp_path / "m.ckpt")
+        out = tmp_path / "t.ckpt"
+        assert run_cli("train", "--model", tmp_path / "m.ckpt", "--vocab", tmp_path / "vocab.txt",
+                       "--triples", synth_dir / "triples.jsonl",
+                       "--corpus", synth_dir / "corpus.tsv",
+                       "--queries", synth_dir / "queries.tsv",
+                       "--epochs", 1, "--hard-negs", 1, "--out", out) == 0
+        triples = corpus_mod.load_triples(synth_dir / "triples.jsonl")
+        texts = [queries[q] for q in {t["query_id"] for t in triples}]
+        texts += [corpus[d] for d in {d for t in triples
+                                      for d in t["positive_ids"] + t["negative_ids"]}]
+        over = [len(t.split()) - 6 for t in texts if len(t.split()) > 6]
+        assert over  # synth documents hold 8 to 16 words
+        stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+        assert stats == {"truncated_texts": len(over), "dropped_words": sum(over)}
 
 
 def _traced_peak(*argv):

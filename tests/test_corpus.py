@@ -36,8 +36,15 @@ class TestVocabulary:
         assert Vocabulary.load(path).id_to_token == v.id_to_token
 
     def test_duplicate_tokens_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate token 'a'"):
             Vocabulary(["a", "a"])
+        with pytest.raises(ValueError, match="duplicate token '<eos>'"):
+            Vocabulary(["a", "<eos>"])
+
+    def test_control_words_in_vocabulary_text_skipped(self):
+        v = build_vocab(["a <unk> b <pad>", "<bos> <eos> a"])
+        assert v.id_to_token[4:] == ["a", "b"]
+        assert [v.lookup(t) for t in ("<pad>", "<bos>", "<eos>", "<unk>")] == [UNK_ID] * 4
 
     def test_load_names_line_of_duplicate_token(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -72,6 +79,11 @@ class TestTokenize:
     def test_max_len_two_keeps_bos_and_eos(self):
         v = build_vocab(["a b c d e"])
         assert tokenize("a b c d e", v, max_len=2).ids.tolist() == [BOS_ID, EOS_ID]
+
+    def test_control_words_are_unknown_words(self):
+        v = build_vocab(["a"])
+        assert tokenize("<bos> a <eos> <pad>", v).ids.tolist() == \
+            [BOS_ID, UNK_ID, v.lookup("a"), UNK_ID, UNK_ID, EOS_ID]
 
     def test_detokenize_round_trip(self):
         v = build_vocab(["the quick brown fox"])

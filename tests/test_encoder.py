@@ -211,6 +211,44 @@ class TestInferencePath:
         assert str(plain.value) == str(graph.value)
 
 
+class TestFusedGraph:
+    """The graph of forward_batch (fused affine and feed-forward nodes) and
+    pool_reps (a masked max node) gives a contrastive step's loss and every
+    parameter gradient of the primitive chains bit for bit, with queries
+    and documents through one model as in training."""
+
+    @staticmethod
+    def step_grads(model, forward, pool, q_batch, d_batch):
+        from csplade.splade import flops_reg_t, rank_loss_t
+        model.zero_grad()
+        reps = []
+        for ids, lengths in (q_batch, d_batch):
+            span = np.arange(ids.shape[1])[None, :] < lengths[:, None]
+            reps.append(pool(forward(model, ids, lengths), span))
+        q, d = reps
+        total = ad.add(rank_loss_t(q, d, np.arange(q.shape[0]) % d.shape[0]),
+                       ad.add(flops_reg_t(q), flops_reg_t(d)))
+        total.backward()
+        return total.data, {name: p.grad for name, p in model.params.items()}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_contrastive_step_bit_equal_to_chain(self, variant):
+        from conftest import forward_batch_chain, masked_max_chain
+        from csplade.splade import log_saturate, pool_reps
+
+        def chain_pool(logits, span):
+            return log_saturate(masked_max_chain(logits, 1, span[:, :, None]))
+
+        batches = _batches(variant, np.random.default_rng(5))
+        q_batch, d_batch = batches[-5], batches[-6]  # padded: every fifth length, all lengths
+        m = _perturbed_model(variant, np.float32)
+        fused = self.step_grads(m, EncoderModel.forward_batch, pool_reps, q_batch, d_batch)
+        chain = self.step_grads(m, forward_batch_chain, chain_pool, q_batch, d_batch)
+        assert fused[0].tobytes() == chain[0].tobytes()
+        for name, grad in fused[1].items():
+            assert grad.tobytes() == chain[1][name].tobytes(), name
+
+
 class TestEchoExpand:
     def test_two_token_example(self):
         seq = TokenSequence([BOS_ID, 5, 6, EOS_ID], span=(1, 4))
