@@ -207,20 +207,27 @@ def _encode_blocks(model, vocab, texts):
         yield from zip(doc_ids, trainer.encode_texts(model, vocab, block_texts))
 
 
-def cmd_encode(args):
-    """Encode --input and write its reps a block at a time to a temporary
-    sibling of --out, moved onto --out only once every line is written."""
-    model, vocab = _load_model(args)
-    texts = corpus_mod.load_tsv(args.input)  # whole, so later edits to it are not seen
-    _require_words(args.input, texts, "document")
-    out = Path(args.out)
+def _write_atomically(out, write):
+    """write(tmp) a temporary sibling of `out`, then move it onto `out`, so
+    `out` is never left half written; returns what `write` returns."""
+    out = Path(out)
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
     try:
-        stats = splade.write_reps(tmp, _encode_blocks(model, vocab, texts))
+        result = write(tmp)
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return result
+
+
+def cmd_encode(args):
+    """Encode --input and write its reps to --out a block at a time."""
+    model, vocab = _load_model(args)
+    texts = corpus_mod.load_tsv(args.input)  # whole, so later edits to it are not seen
+    _require_words(args.input, texts, "document")
+    stats = _write_atomically(
+        args.out, lambda tmp: splade.write_reps(tmp, _encode_blocks(model, vocab, texts)))
     stats["nnz_mean"] = stats["postings"] / stats["docs"] if stats["docs"] else None
     stats.update(trainer.truncation_stats(texts.values(), model.cfg))
     write_manifest(str(args.out) + ".manifest.json", "encode", args, [args.out], stats)
@@ -229,9 +236,10 @@ def cmd_encode(args):
 
 def cmd_index(args):
     vocab = corpus_mod.Vocabulary.load(args.vocab)
-    # no name holds the reps batch: only the index is alive while it is written
+    # no name holds the reps batch: build_index frees its weights once the
+    # impacts are placed, and only the index is alive while it is written
     idx = index_mod.build_index(splade.read_reps(args.reps, vocab.size), bits=args.bits)
-    index_mod.serialize(idx, args.out)
+    _write_atomically(args.out, lambda tmp: index_mod.serialize(idx, tmp))
     postings = sum(len(p.ordinals) for p in idx.postings.values())
     size = Path(args.out).stat().st_size
     stats = {"docs": idx.doc_count, "postings": postings, "bytes": size,

@@ -20,7 +20,7 @@ class CollectionStats:
     """Collection statistics plus per-term postings for BM25.
 
     `postings` maps a term to (doc ordinals ascending, term frequencies),
-    both int64 arrays; an ordinal indexes `doc_ids` and `doc_lengths`.
+    both int32 arrays; an ordinal indexes `doc_ids` and `doc_lengths`.
     """
     n_docs: int
     avg_doc_len: float
@@ -52,12 +52,24 @@ def build_stats(corpus) -> CollectionStats:
         toks = words(text)
         lengths[i] = len(toks)
         token_ids.extend([vocab.setdefault(t, len(vocab)) for t in toks])
-    # one key per (term, doc) occurrence; unique keys sort by term, then doc
+    # one key per (term, doc) occurrence; sorted, they order by term, then doc,
+    # and each run of equal keys is one posting
     width = max(n, 1)
-    keys = np.asarray(token_ids, dtype=np.int64) * width + np.repeat(np.arange(n), lengths)
-    keys, tf = np.unique(keys, return_counts=True)
-    term_of, ordinals = np.divmod(keys, width)
-    bounds = np.append(np.flatnonzero(np.diff(term_of, prepend=-1)), len(keys))
+    keys = np.array(token_ids, dtype=np.int64)
+    del token_ids
+    keys *= width
+    keys += np.repeat(np.arange(n), lengths)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    tf = np.diff(starts, append=keys.size).astype(np.int32)
+    term_of = keys[starts]  # then divided down to the term ids, in place
+    del keys, starts
+    ordinals = (term_of % width).astype(np.int32)
+    term_of //= width
+    bounds = np.append(np.flatnonzero(np.diff(term_of, prepend=-1)), len(ordinals))
     terms = list(vocab)
     postings, doc_freq = {}, {}
     for t, lo, hi in zip(term_of[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):

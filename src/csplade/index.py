@@ -12,10 +12,13 @@ doc order. Counting the term ids, a bincount per block, gives the start of
 every posting list in one array of uint32 doc ordinals and one of impacts,
 with one count per term id up to the largest present. The postings
 are then placed one block of POSTING_BLOCK at a time: each block is
-stably argsorted by term, quantized in float64 and written after the
-earlier blocks' postings of the same terms, so every list keeps its
-ordinals increasing and is a view into those two arrays. Memory is the
-batch, the two output arrays and one block's temporaries.
+stably argsorted by term and written after the earlier blocks' postings
+of the same terms, so every list keeps its ordinals increasing and is a
+view into those two arrays. A first pass over the blocks places the
+impacts, quantized in float64; the weights are then dropped, and a
+second pass places the ordinals. Memory is the term ids, one output array
+beside either the weights or the other output array, and one block's
+temporaries. `serialize` writes each posting list as it is encoded.
 
 Search is exact and runs in two passes. In memory, every posting list
 dense enough that a full-length impact row costs no more bytes than its
@@ -103,7 +106,10 @@ def build_index(reps, bits=8) -> InvertedIndex:
     packed into one; ordinals follow input order.
 
     Every posting list is a view into one array of ordinals and one of
-    impacts, both in (term, ordinal) order.
+    impacts, both in (term, ordinal) order. The impacts are placed first;
+    the weights are then let go before the ordinals are made, so a batch
+    only this call holds, as in `build_index(read_reps(...))`, is freed
+    then. A batch the caller keeps is not freed.
     """
     if bits not in IMPACT_DTYPES:
         raise ValueError(f"bits must be one of {sorted(IMPACT_DTYPES)}, got {bits}")
@@ -113,30 +119,35 @@ def build_index(reps, bits=8) -> InvertedIndex:
         if doc_id in seen:
             raise ValueError(f"duplicate doc id {doc_id!r}")
         seen.add(doc_id)
-    terms, weights = batch.term_ids, batch.weights
+    del seen
+    doc_ids, indptr, terms, weights = batch.doc_ids, batch.indptr, batch.term_ids, batch.weights
+    vocab_size = batch.vocab_size
+    del reps, batch
     max_weight = float(weights.max(initial=0.0))
     scale = max_weight if max_weight > 0 else 1.0
-    blocks = range(0, terms.size, POSTING_BLOCK)
 
-    # list t fills starts[t]:starts[t] + counts[t]; slot[t] is its next free slot
+    # list t fills starts[t]:starts[t] + counts[t]
     size = int(terms.max(initial=0)) + 1
     counts = np.zeros(size, dtype=np.int64)
-    for a in blocks:
+    for a in range(0, terms.size, POSTING_BLOCK):
         counts += np.bincount(terms[a:a + POSTING_BLOCK], minlength=size)
     starts = np.cumsum(counts) - counts
-    slot = starts.copy()
-    ordinals = np.empty(terms.size, dtype=np.uint32)
+
+    def placements():
+        """(start, order, dest) per block: the i-th posting of the block
+        sorted by term, block[a + order[i]], goes to slot dest[i]."""
+        slot = starts.copy()  # slot[t]: the next free slot of list t
+        for a in range(0, terms.size, POSTING_BLOCK):
+            block = terms[a:a + POSTING_BLOCK]
+            order = np.argsort(block, kind="stable")  # keeps doc order within a term
+            block_counts = np.bincount(block, minlength=size)
+            # slot[t] plus the posting's rank among the block's postings of term t
+            rank_base = slot - (np.cumsum(block_counts) - block_counts)
+            slot += block_counts
+            yield a, order, rank_base[block[order]] + np.arange(order.size)
+
     impacts = np.empty(terms.size, dtype=IMPACT_DTYPES[bits])
-    for a in blocks:
-        block = terms[a:a + POSTING_BLOCK]
-        order = np.argsort(block, kind="stable")  # keeps doc order within a term
-        block_counts = np.bincount(block, minlength=size)
-        # the i-th posting of the sorted block goes to slot[t] plus its rank
-        # among the block's postings of term t
-        rank_base = slot - (np.cumsum(block_counts) - block_counts)
-        dest = rank_base[block[order]] + np.arange(order.size)
-        slot += block_counts
-        ordinals[dest] = np.searchsorted(batch.indptr, order + a, side="right") - 1
+    for a, order, dest in placements():
         w = weights[a:a + POSTING_BLOCK][order]
         if bits == 0:
             impacts[dest] = w
@@ -147,12 +158,16 @@ def build_index(reps, bits=8) -> InvertedIndex:
             np.round(q, out=q)
             np.maximum(q, 1, out=q)
             impacts[dest] = q
+    del weights
+    ordinals = np.empty(terms.size, dtype=np.uint32)
+    for a, order, dest in placements():
+        ordinals[dest] = np.searchsorted(indptr, order + a, side="right") - 1
 
     present = np.flatnonzero(counts)
     postings = {t: PostingList(ordinals[s:s + c], impacts[s:s + c])
                 for t, s, c in zip(present.tolist(), starts[present].tolist(),
                                    counts[present].tolist())}
-    return InvertedIndex(batch.vocab_size, bits, float(scale), batch.doc_ids, postings)
+    return InvertedIndex(vocab_size, bits, float(scale), doc_ids, postings)
 
 
 @dataclass
@@ -391,28 +406,26 @@ def ef_decode(buf, count, universe, offset=0):
     return values.astype(np.uint32), end
 
 
-def _postings_bytes(index):
-    chunks = [struct.pack("<I", len(index.postings))]
+def _index_chunks(index):
+    """The index file's bytes in order: the header, the doc table, the list
+    count, then each posting list's header, ordinals and impacts."""
+    yield MAGIC
+    yield _HEADER.pack(index.vocab_size, index.doc_count, index.bits, index.scale)
+    yield _doc_table_bytes(index.doc_ids)
+    yield struct.pack("<I", len(index.postings))
     prev = -1
     for t in sorted(index.postings):
         plist = index.postings[t]
-        chunks.append(varint_encode(t - prev - 1, len(plist.ordinals)))
+        yield varint_encode(t - prev - 1, len(plist.ordinals))
         prev = t
-        chunks.append(ef_encode(plist.ordinals, index.doc_count))
-        chunks.append(np.ascontiguousarray(plist.impacts).tobytes())
-    return b"".join(chunks)
-
-
-def _index_bytes(index):
-    return b"".join((MAGIC,
-                     _HEADER.pack(index.vocab_size, index.doc_count, index.bits, index.scale),
-                     _doc_table_bytes(index.doc_ids),
-                     _postings_bytes(index)))
+        yield ef_encode(plist.ordinals, index.doc_count)
+        yield np.ascontiguousarray(plist.impacts).tobytes()
 
 
 def serialize(index: InvertedIndex, path):
+    """Write the index a posting list at a time."""
     with open(path, "wb") as f:
-        f.write(_index_bytes(index))
+        f.writelines(_index_chunks(index))
 
 
 def _read_text(blob, pos, n, what):

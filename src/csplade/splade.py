@@ -20,7 +20,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 WEIGHT_FLOOR = 1e-6  # pooled entries at or below this are dropped as float noise
-READ_BLOCK_LINES = 64  # reps lines that read_reps parses and checks at once
+READ_BLOCK_LINES = 64  # reps lines that read_reps parses and checks at once,
+READ_BLOCK_PAIRS = 8192  # or fewer once they hold this many pairs
 
 
 class RepsFormatError(ValueError):
@@ -185,7 +186,8 @@ def write_reps(path, reps):
 
 
 def read_reps(path, vocab_size) -> RepsBatch:
-    """Read a reps file into a RepsBatch, `READ_BLOCK_LINES` lines at a time.
+    """Read a reps file into a RepsBatch, `READ_BLOCK_LINES` lines at a time,
+    or fewer once they hold `READ_BLOCK_PAIRS` pairs.
 
     The file is read twice, so it must be seekable: once to count the pairs
     and once to parse them into arrays of that length.
@@ -202,16 +204,22 @@ def read_reps(path, vocab_size) -> RepsBatch:
         terms = np.empty(total, dtype=term_dtype(vocab_size))
         weights = np.empty(total, dtype=np.float32)
         doc_ids, counts = [], []
+        numbered = enumerate(f, 1)
         lineno = end = 0
-        while block := list(islice(f, READ_BLOCK_LINES)):
-            linenos, rests = [], []
-            for lineno, line in enumerate(block, lineno + 1):
+        while True:
+            last, linenos, rests, pairs = lineno, [], [], 0
+            for lineno, line in islice(numbered, READ_BLOCK_LINES):
                 line = line.rstrip("\n")
                 if line:
                     doc_id, _, rest = line.partition("\t")
                     doc_ids.append(doc_id)
                     linenos.append(lineno)
                     rests.append(rest)
+                    pairs += _pair_count(rest)
+                    if pairs >= READ_BLOCK_PAIRS:
+                        break
+            if lineno == last:
+                break
             ids, w, n = _parse_block(path, linenos, rests, vocab_size)
             start, end = end, end + ids.size
             if end > total:

@@ -8,7 +8,7 @@ from csplade.corpus import SynthSpec, build_vocab, synth_generate
 from csplade.encoder import BOS_ID, EOS_ID, PAD_ID, EncoderConfig, EncoderModel
 from csplade.evalkit import mrr_at_k
 from csplade.index import (IMPACT_DTYPES, InvertedIndex, PostingList, SearchResult,
-                           build_index, search)
+                           _index_chunks, build_index, search)
 from csplade.splade import SparseRep
 from csplade.trainer import encode_texts
 
@@ -134,6 +134,11 @@ def build_index_dicts(reps, bits=8):
         postings[t] = PostingList(ords, impacts)
     return InvertedIndex(vocab_size if vocab_size is not None else 0,
                          bits, float(scale), doc_ids, postings)
+
+
+def index_bytes(index):
+    """The bytes `index.serialize` writes for `index`, as one object."""
+    return b"".join(_index_chunks(index))
 
 
 def scatter_add_search(index, q, k):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import csplade
-from csplade import corpus as corpus_mod, trainer
+from csplade import corpus as corpus_mod, index as index_mod, trainer
 from csplade.cli import build_parser, environment, main
 from csplade.corpus import SynthSpec, Vocabulary
 from csplade.encoder import EncoderConfig, EncoderModel
@@ -521,6 +521,35 @@ class TestErrors:
             ["docs.tsv"] + (["reps.txt"] if existing else [])
         if existing:
             assert out.read_bytes() == b"earlier reps\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-out", "existing-out"])
+    def test_failed_index_write_leaves_no_partial_index(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch, existing):
+        """A failure while serialize streams the third posting list into the
+        temporary file removes that file and leaves --out as it was."""
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        work, _ = pipeline
+        out = tmp_path / "index.bin"
+        if existing:
+            out.write_bytes(b"earlier index\n")
+        lists, ef_encode = [], index_mod.ef_encode
+
+        def fail_third_list(values, universe):
+            lists.append(len(values))
+            if len(lists) == 3:
+                partial = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+                assert len(partial) == 1 and partial[0].name.startswith("index.bin.")
+                raise RuntimeError("write failed")
+            return ef_encode(values, universe)
+
+        monkeypatch.setattr(index_mod, "ef_encode", fail_third_list)
+        assert run_cli("index", "--reps", work / "reps.txt", "--vocab", work / "vocab.txt",
+                       "--bits", 8, "--out", out) == 1
+        assert capsys.readouterr().err == "error: RuntimeError: write failed\n"
+        assert len(lists) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["index.bin"] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"earlier index\n"
 
     def test_empty_query_rejected(self, pipeline, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
