@@ -1,5 +1,5 @@
 """Command-line pipeline: synth -> adapt -> train -> encode -> index ->
-search -> eval, plus the quantization latency benchmark.
+search -> eval.
 
 Every subcommand writes a JSON manifest (sorted keys) with the fully
 resolved configuration next to its outputs, and is bit-reproducible for
@@ -22,11 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, corpus as corpus_mod, evalkit, index as index_mod
-from . import quant, splade, trainer
+from . import __version__, corpus as corpus_mod, evalkit, index as index_mod, splade, trainer
 from .corpus import SynthSpec
 from .encoder import VARIANTS, EncoderConfig, EncoderModel
-from .quant import QuantConfig
 from .trainer import AdaptConfig, ContrastiveConfig
 
 
@@ -179,13 +177,12 @@ def cmd_train(args):
     cfg = ContrastiveConfig(epochs=args.epochs, global_batch_size=args.batch, lr=args.lr,
                             hard_negatives_per_positive=args.hard_negs, warmup_steps=args.warmup,
                             lambda_q=args.lambda_q, lambda_d=args.lambda_d, seed=args.seed)
-    # the training texts: every query and document the triples name
+    model, report = trainer.run_contrastive(model, triples, collection, queries, vocab, cfg)
+    # the training texts: every query and document the triples name (run_contrastive checked them)
     qids = {t["query_id"] for t in triples}
     dids = {d for t in triples for d in t["positive_ids"] + t["negative_ids"]}
-    texts = [queries[q] for q in qids if q in queries] + \
-        [collection[d] for d in dids if d in collection]
-    stats = trainer.truncation_stats(texts, model.cfg)
-    model, report = trainer.run_contrastive(model, triples, collection, queries, vocab, cfg)
+    stats = trainer.truncation_stats([queries[q] for q in qids] + [collection[d] for d in dids],
+                                     model.cfg)
     return _save_trained(args, "train", model, report, stats=stats)
 
 
@@ -281,30 +278,6 @@ def cmd_eval(args):
     qrels = corpus_mod.load_qrels(args.qrels)
     evalkit.metrics_csv(args.out, run, qrels, args.k)
     write_manifest(str(args.out) + ".manifest.json", "eval", args, [args.out])
-    return 0
-
-
-def cmd_bench(args):
-    model, vocab = _load_model(args)
-    queries = corpus_mod.load_queries(args.queries)
-    seqs = [trainer.prepare_sequence(t, vocab, model.cfg, model.cfg.variant == "echo")
-            for t in queries.values()]
-    configs = [
-        ("fp32", None),
-        ("int8", QuantConfig(bits=8, granularity=quant.PER_CHANNEL)),
-        ("int4", QuantConfig(bits=4, granularity=quant.GROUPWISE,
-                             group_size=args.group_size)),
-    ]
-    rows = [quant.CSV_HEADER]
-    for name, qcfg in configs:
-        target = model if qcfg is None else quant.quantize_weights(model, qcfg)
-        report = quant.bench_encode(target, seqs, warmup_iters=args.warmup,
-                                    measure_iters=args.iters, config_name=name)
-        rows.append(report.csv_row())
-        print(rows[-1])
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
-    write_manifest(str(args.out) + ".manifest.json", "bench", args, [args.out])
     return 0
 
 
@@ -408,17 +381,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="encoding latency across fp32/int8/int4")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--iters", type=int, default=30)
-    p.add_argument("--group-size", type=int, default=QuantConfig.group_size)
-    p.add_argument("--out", required=True)
-    _add_variant(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -163,9 +163,16 @@ def load_triples(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: expected a JSON object")
             for key in ("query_id", "positive_ids", "negative_ids"):
                 if key not in obj:
                     raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+            if not isinstance(obj["query_id"], str):
+                raise ParseError(f"{path}:{lineno}: query_id must be a string")
+            for key in ("positive_ids", "negative_ids"):
+                if not (isinstance(obj[key], list) and all(isinstance(d, str) for d in obj[key])):
+                    raise ParseError(f"{path}:{lineno}: {key} must be a list of strings")
             if not obj["positive_ids"]:
                 raise ParseError(f"{path}:{lineno}: empty positive_ids")
             triples.append(obj)

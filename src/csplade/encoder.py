@@ -45,6 +45,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.vocab_size < 4:
             raise ValueError("vocab_size must be >= 4 (PAD/BOS/EOS/UNK reserved)")
+        for name in ("d_model", "n_heads", "n_layers", "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.variant not in VARIANTS:

@@ -371,6 +371,13 @@ def run_contrastive(model: EncoderModel, triples, corpus, queries,
     """
     if missing := [t["query_id"] for t in triples if not t["positive_ids"]]:
         raise ValueError(f"triple for {missing[0]} has no positive")
+    for t in triples:  # before any step, so a missing id fails no run part-way
+        qid = t["query_id"]
+        if qid not in queries:
+            raise ValueError(f"triple for {qid}: query {qid!r} is not among the queries")
+        for doc_id in t["positive_ids"] + t["negative_ids"]:
+            if doc_id not in corpus:
+                raise ValueError(f"triple for {qid}: document {doc_id!r} is not in the corpus")
     rng = np.random.default_rng(cfg.seed)
     h = cfg.hard_negatives_per_positive
 

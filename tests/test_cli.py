@@ -1,9 +1,12 @@
 """End-to-end CLI pipeline tests over a miniature dataset."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +21,6 @@ from csplade.cli import build_parser, environment, main
 from csplade.corpus import SynthSpec, Vocabulary
 from csplade.encoder import EncoderConfig, EncoderModel
 from csplade.index import deserialize
-from csplade.quant import QuantConfig
 from csplade.splade import READ_BLOCK_LINES, SparseRep, write_reps
 from csplade.trainer import AdaptConfig, ContrastiveConfig
 
@@ -216,20 +218,6 @@ class TestPipeline:
         for line in out.read_text().splitlines():
             assert line.split()[5] == "bm25"
 
-    def test_bench_subcommand(self, pipeline, tmp_path):
-        work, data = pipeline
-        out = tmp_path / "bench.csv"
-        assert run_cli("bench", "--model", work / "trained.ckpt",
-                       "--vocab", work / "vocab.txt",
-                       "--queries", data / "queries.tsv",
-                       "--iters", 30, "--warmup", 1,
-                       "--group-size", 16, "--out", out) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "config,bits,granularity,compute,qps,p50_ms,p95_ms,mem_bytes"
-        assert [l.split(",")[0] for l in lines[1:]] == ["fp32", "int8", "int4"]
-        # int8 and int4 time the dequantized float32 model
-        assert [l.split(",")[3] for l in lines[1:]] == ["fp32", "fp32", "fp32"]
-
 
 class TestVariantFromCheckpoint:
     def test_encode_and_search_default_to_checkpoint_mode(self, pipeline, tmp_path):
@@ -246,14 +234,13 @@ class TestVariantFromCheckpoint:
                        "--k", 10, "--out", run) == 0
         assert run.read_bytes() == (work / "run.txt").read_bytes()
 
-    @pytest.mark.parametrize("subcommand", ["encode", "search", "bench"])
+    @pytest.mark.parametrize("subcommand", ["encode", "search"])
     def test_conflicting_variant_is_one_line_error(self, pipeline, tmp_path, capsys,
                                                    subcommand):
         work, data = pipeline
         args = {
             "encode": ("--input", data / "corpus.tsv"),
             "search": ("--queries", data / "queries.tsv", "--index", work / "index.bin"),
-            "bench": ("--queries", data / "queries.tsv"),
         }[subcommand]
         out = tmp_path / "out.txt"
         assert run_cli(subcommand, "--model", work / "trained.ckpt", "--vocab",
@@ -324,8 +311,7 @@ class TestParserDefaults:
     """Each option's default is the default of the dataclass field it fills."""
 
     REQUIRED = {"synth": (), "adapt": ("--corpus",),
-                "train": ("--model", "--vocab", "--triples", "--corpus", "--queries"),
-                "bench": ("--model", "--vocab", "--queries")}
+                "train": ("--model", "--vocab", "--triples", "--corpus", "--queries")}
 
     @pytest.mark.parametrize("subcommand, cls, dests", [
         ("synth", SynthSpec, {"seed": "seed", "docs": "n_docs", "queries": "n_queries",
@@ -343,7 +329,6 @@ class TestParserDefaults:
                                       "warmup": "warmup_steps",
                                       "lambda_q": "lambda_q", "lambda_d": "lambda_d",
                                       "seed": "seed"}),
-        ("bench", QuantConfig, {"group_size": "group_size"}),
     ])
     def test_defaults_match_dataclass(self, subcommand, cls, dests):
         argv = [subcommand, "--out", "x"]
@@ -422,7 +407,7 @@ class TestErrors:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("subcommand", ["adapt", "train", "encode", "search", "bench"])
+    @pytest.mark.parametrize("subcommand", ["adapt", "train", "encode", "search"])
     def test_vocab_of_another_size_rejected(self, pipeline, tmp_path, capsys, monkeypatch,
                                             subcommand):
         monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
@@ -436,8 +421,8 @@ class TestErrors:
                 "train": ["--triples", data / "triples.jsonl", "--corpus", data / "corpus.tsv",
                           "--queries", data / "queries.tsv"],
                 "encode": ["--input", data / "corpus.tsv"],
-                "search": ["--queries", data / "queries.tsv", "--index", work / "index.bin"],
-                "bench": ["--queries", data / "queries.tsv"]}[subcommand]
+                "search": ["--queries", data / "queries.tsv",
+                           "--index", work / "index.bin"]}[subcommand]
         assert run_cli(subcommand, "--model", model, "--vocab", vocab, *args,
                        "--out", out) == 1
         err = capsys.readouterr().err
@@ -568,6 +553,58 @@ class TestErrors:
         assert run_cli("search", "--queries", data / "queries.tsv",
                        "--bm25", "--out", tmp_path / "r.txt") == 1
         assert "corpus" in capsys.readouterr().err
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--out", "x")
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_adapt_zero_heads_exits_one(self, synth_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        assert run_cli("adapt", "--corpus", synth_dir / "corpus.tsv", "--steps", 2,
+                       "--heads", 0, "--vocab-out", tmp_path / "v.txt",
+                       "--out", tmp_path / "a.ckpt") == 1
+        assert capsys.readouterr().err == "error: ValueError: n_heads must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("positive_ids", '"d3"', "positive_ids must be a list of strings"),
+        ("query_id", "7", "query_id must be a string"),
+    ])
+    def test_mistyped_triple_exits_one(self, pipeline, tmp_path, capsys, monkeypatch,
+                                       field, value, message):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        work, data = pipeline
+        triples = tmp_path / "triples.jsonl"
+        fields = {"query_id": '"q0"', "positive_ids": '["d0"]', "negative_ids": "[]", field: value}
+        triples.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
+        assert run_cli("train", "--model", work / "adapted.ckpt", "--vocab", work / "vocab.txt",
+                       "--triples", triples, "--corpus", data / "corpus.tsv",
+                       "--queries", data / "queries.tsv", "--out", tmp_path / "t.ckpt") == 1
+        assert capsys.readouterr().err == f"error: ParseError: {triples}:1: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["triples.jsonl"]
+
+    @pytest.mark.parametrize("triple, message", [
+        ({"query_id": "qzz", "positive_ids": ["d0"], "negative_ids": []},
+         "triple for qzz: query 'qzz' is not among the queries"),
+        ({"query_id": "q0", "positive_ids": ["d0"], "negative_ids": ["nope"]},
+         "triple for q0: document 'nope' is not in the corpus"),
+    ], ids=["query", "document"])
+    def test_triple_naming_a_missing_id_exits_one(self, pipeline, tmp_path, capsys,
+                                                  monkeypatch, triple, message):
+        """The triples are checked against the queries and the corpus before
+        the first step, so a missing id never fails a run part-way."""
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        work, data = pipeline
+        triples = tmp_path / "triples.jsonl"
+        # the bad triple last, after every good one
+        triples.write_text((data / "triples.jsonl").read_text() + json.dumps(triple) + "\n")
+        assert run_cli("train", "--model", work / "adapted.ckpt", "--vocab", work / "vocab.txt",
+                       "--triples", triples, "--corpus", data / "corpus.tsv",
+                       "--queries", data / "queries.tsv", "--out", tmp_path / "t.ckpt") == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["triples.jsonl"]
 
 
 def _without_step_ms(report_csv):
@@ -778,3 +815,34 @@ def test_runtime_imports_without_scipy_or_numba():
     assert proc.returncode == 0, proc.stderr
     modules = {f"csplade.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__"}
     assert set(proc.stdout.split()) == modules
+
+
+def _readme_commands():
+    """The argv of each `csplade ...` command in the README's bash blocks,
+    backslash continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", readme, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("csplade "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadme:
+    """The README's CLI examples parse, and they show every subcommand."""
+
+    def test_every_example_parses(self, capsys):
+        commands = _readme_commands()
+        assert commands
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: csplade {shlex.join(argv)}\n"
+                            + capsys.readouterr().err)
+
+    def test_every_subcommand_has_an_example(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {argv[0] for argv in _readme_commands()} == set(sub.choices)

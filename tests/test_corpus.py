@@ -1,6 +1,7 @@
 """Vocabulary, tokenization, file formats, and the synthetic generator."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ class TestFileFormats:
             '{"query_id": "q1", "positive_ids": ["d1"], "negative_ids": []}\n'
             '{"query_id": "q2", "positive_ids": [], "negative_ids": []}\n')
         with pytest.raises(ParseError, match=":2:.*positive"):
+            load_triples(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"query_id": 7, "positive_ids": ["d1"], "negative_ids": []}',
+         "query_id must be a string"),
+        ('{"query_id": "q2", "positive_ids": "d3", "negative_ids": []}',
+         "positive_ids must be a list of strings"),
+        ('{"query_id": "q2", "positive_ids": ["d1", 3], "negative_ids": []}',
+         "positive_ids must be a list of strings"),
+        ('{"query_id": "q2", "positive_ids": ["d1"], "negative_ids": null}',
+         "negative_ids must be a list of strings"),
+        ('["q2", ["d1"], []]', "expected a JSON object"),
+    ])
+    def test_triples_mistyped_field_rejected_with_line(self, tmp_path, line, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"query_id": "q1", "positive_ids": ["d1"], "negative_ids": []}\n'
+                        + line + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: {message}$"):
             load_triples(path)
 
     def test_triples_invalid_json(self, tmp_path):

@@ -25,6 +25,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             EncoderConfig(vocab_size=10, d_model=10, n_heads=3)
 
+    @pytest.mark.parametrize("field", ["d_model", "n_heads", "n_layers", "max_seq_len"])
+    @pytest.mark.parametrize("value", [0, -8])
+    def test_sizes_below_one_named(self, field, value):
+        """Checked before d_model % n_heads, so n_heads=0 is no ZeroDivisionError."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            EncoderConfig(vocab_size=10, **{field: value})
+
     def test_vocab_reserves_specials(self):
         with pytest.raises(ValueError, match="vocab_size"):
             EncoderConfig(vocab_size=3)
@@ -319,6 +326,20 @@ class TestCheckpoint:
         path.write_bytes(blob.replace(b"\nvariant=bi\n",
                                       b"\nmask_mode=bidirectional\necho_mode=False\n", 1))
         with pytest.raises(ValueError, match="missing key 'variant'"):
+            EncoderModel.load(path)
+
+    @pytest.mark.parametrize("field, value", [("n_heads", 0), ("d_model", -8),
+                                              ("n_layers", -1)])
+    def test_corrupted_header_size_named(self, tmp_path, field, value):
+        """A header size below 1 is a ValueError naming the field, raised
+        before any parameter is read: not a ZeroDivisionError, a negative
+        buffer offset or a sqrt warning."""
+        path = tmp_path / "m.ckpt"
+        m = make_model()
+        m.save(path)
+        old = f"\n{field}={getattr(m.cfg, field)}\n".encode()
+        path.write_bytes(path.read_bytes().replace(old, f"\n{field}={value}\n".encode(), 1))
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             EncoderModel.load(path)
 
     def test_truncation_detected(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Weight-quantization math and the encode-latency benchmark."""
+"""Weight-quantization math, parameter bytes and the dequantized model."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from csplade.corpus import build_vocab, tokenize
 from csplade.encoder import EncoderConfig, EncoderModel
-from csplade.quant import (CSV_HEADER, GROUPWISE, PER_CHANNEL, LatencyReport,
-                           QuantConfig, _dequantize_array, _quantize_array,
-                           bench_encode, quantize_weights)
+from csplade.quant import (GROUPWISE, PER_CHANNEL, QuantConfig, _dequantize_array,
+                           _quantize_array, quantize_weights)
 
 
 def model_and_seq(seed=0):
@@ -27,6 +26,11 @@ class TestQuantConfig:
     def test_granularity_validation(self):
         with pytest.raises(ValueError, match="granularity"):
             QuantConfig(granularity="per-sample")
+
+    @pytest.mark.parametrize("group_size", [0, -32])
+    def test_group_size_below_one_rejected(self, group_size):
+        with pytest.raises(ValueError, match=f"group_size must be >= 1, got {group_size}"):
+            QuantConfig(bits=4, granularity=GROUPWISE, group_size=group_size)
 
     def test_group_size_must_divide(self):
         w = np.ones((4, 10), dtype=np.float32)
@@ -130,36 +134,3 @@ class TestQuantizedModel:
         with pytest.raises(ValueError, match="non-finite"):
             quantize_weights(model, QuantConfig())
 
-
-class TestBenchEncode:
-    def test_minimum_iterations_enforced(self):
-        model, seq = model_and_seq()
-        with pytest.raises(ValueError, match="30"):
-            bench_encode(model, [seq], measure_iters=10)
-
-    def test_report_sanity(self):
-        model, seq = model_and_seq()
-        report = bench_encode(model, [seq], warmup_iters=2, measure_iters=30)
-        assert report.qps > 0 and np.isfinite(report.qps)
-        assert report.p95_ms >= report.p50_ms > 0
-        assert report.bits == 32 and report.config == "fp32"
-        assert report.mem_bytes == sum(p.data.size * 4
-                                       for p in model.params.values())
-
-    def test_quantized_report_fields(self):
-        model, seq = model_and_seq()
-        qm = quantize_weights(model, QuantConfig(bits=8, granularity=PER_CHANNEL))
-        report = bench_encode(qm, [seq], warmup_iters=1, measure_iters=30)
-        assert report.bits == 8 and report.granularity == PER_CHANNEL
-        assert report.mem_bytes == qm.param_bytes()
-
-    def test_csv_row_matches_header(self):
-        r = LatencyReport("fp32", 32, "none", 10.0, 1.0, 2.0, 1024)
-        assert len(r.csv_row().split(",")) == len(CSV_HEADER.split(","))
-        row = dict(zip(CSV_HEADER.split(","), r.csv_row().split(",")))
-        assert row["compute"] == "fp32" and row["bits"] == "32" and row["mem_bytes"] == "1024"
-
-    def test_quantized_models_compute_in_fp32(self):
-        model, seq = model_and_seq()
-        qm = quantize_weights(model, QuantConfig(bits=4, granularity=GROUPWISE, group_size=8))
-        assert bench_encode(qm, [seq], warmup_iters=1, measure_iters=30).compute == "fp32"
