@@ -199,6 +199,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_queries < 1 or self.n_docs < self.n_queries:
             raise ValueError("need n_docs >= n_queries >= 1")
         for name in ("doc_len_range", "slots_per_query"):

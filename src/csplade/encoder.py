@@ -45,6 +45,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.vocab_size < 4:
             raise ValueError("vocab_size must be >= 4 (PAD/BOS/EOS/UNK reserved)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("d_model", "n_heads", "n_layers", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

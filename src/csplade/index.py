@@ -1,8 +1,16 @@
 """Impact-quantized inverted index with exact top-k retrieval.
 
 Impacts are linearly quantized against the collection-wide maximum
-weight (floor 1 so no posting vanishes), doc ordinals are Elias-Fano coded
-per posting list and numbered doc ids are stored as runs.
+weight (floor 1 so no posting vanishes). The file codes each posting list
+in the bits it needs: a list that holds more than half the docs
+Elias-Fano codes the docs it lacks, so a list in every doc costs no
+ordinal bytes, and any other list its own ordinals (Ottaviano &
+Venturini, "Partitioned Elias-Fano Indexes", SIGIR 2014, code dense
+stretches apart in the same way); 8- and 16-bit impacts are stored as
+their smallest value plus count x width bits, width the bits of the
+largest minus the smallest (frame of reference; Lemire & Boytsov,
+"Decoding billions of integers per second through vectorization", SP&E
+2015). Numbered doc ids are stored as runs.
 
 The build inverts by a counting sort, not by appending to per-term lists
 (Zobel & Moffat, "Inverted files for text search engines", ACM Computing
@@ -41,13 +49,13 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .splade import RepsBatch, SparseRep
 
-MAGIC = b"CSPIDX2"
+MAGIC = b"CSPIDX3"
 _HEADER = struct.Struct("<IIBf")  # vocab_size, doc_count, bits, scale (13 bytes)
 
 # impact width in bits -> impact dtype; 0 keeps the float32 weights
@@ -274,7 +282,16 @@ def search(index: InvertedIndex, q: SparseRep, k: int) -> SearchResult:
 #   MAGIC | vocab_size u32, doc_count u32, bits u8, scale f32
 #   | doc table | n_lists u32
 #   | per list, in ascending term order: varint term gap, varint count,
-#     Elias-Fano ordinals, count impacts of the index's width
+#     ordinals, impacts
+#
+# Ordinals: when 2 * count > doc_count (no flag is stored; the count
+# decides), the Elias-Fano code of the doc_count - count ordinals the list
+# lacks, else of its count ordinals, both below doc_count.
+# Impacts: at bits 0, count float32s. At 8 and 16 bits, varint base (the
+# smallest impact, at least 1), width u8 (at most bits), then
+# ceil(count * width / 8) bytes of the impacts minus the base, packed by
+# pack_bits: impact i at bits i * width onward, low bit first, so every
+# impact is base + a width-bit value and at most 2**bits - 1.
 #
 # The doc table is a sequence of records until doc_count ids are read.
 # A record starts with a varint h. Even h: a literal id of h >> 1 UTF-8
@@ -350,13 +367,92 @@ def _doc_table_bytes(doc_ids):
     return b"".join(chunks)
 
 
+# pack_bits and unpack_bits work on groups of eight values: value j of a
+# group of `width`-bit values starts at bit j * width of the group's `width`
+# bytes. Their tables depend on the width only, are cached, and are shared
+# by every caller, so they are read-only.
+
+@lru_cache(maxsize=64)
+def _pack_tables(width):
+    """A group is (width + 7) // 8 little-endian 64-bit words. Returns the
+    uint64 matrix that puts each value's bits in its word (times 2**shift,
+    wrapping at 2**64) and, when some values cross into the next word, their
+    right shifts and the matrix that adds their high bits there (else None)."""
+    bit = np.arange(8) * width
+    word, shift = bit >> 6, (bit & 63).astype(np.uint64)
+    low = np.zeros((8, (width + 7) // 8), dtype=np.uint64)
+    low[np.arange(8), word] = np.uint64(1) << shift
+    crosses = shift + np.uint64(width) > 64
+    crossing = None
+    if crosses.any():
+        high = np.zeros_like(low)
+        high[np.flatnonzero(crosses), word[crosses] + 1] = 1
+        crossing = (np.where(crosses, 64 - shift, 63).astype(np.uint64), high)  # v >> 63 is 0
+    for a in (low,) + (crossing or ()):
+        a.flags.writeable = False
+    return low, crossing
+
+
+@lru_cache(maxsize=64)
+def _unpack_tables(width):
+    """The narrowest little-endian word that holds `width` bits read from a
+    value's first byte, and each value's byte in its group and shift in the
+    word read there."""
+    bit = np.arange(8) * width
+    word = np.dtype("<u2" if width <= 9 else "<u4" if width <= 25 else "<u8")
+    byte, shift = bit >> 3, (bit & 7).astype(word)
+    byte.flags.writeable = shift.flags.writeable = False
+    return word, byte, shift
+
+
+def pack_bits(values, width) -> bytes:
+    """Pack non-negative ints below 2**width into count * width bits, value
+    i at bits i * width onward, each low bit first: ceil(count * width / 8)
+    bytes."""
+    count = len(values)
+    if count == 0 or width == 0:
+        return b""
+    groups = -(-count // 8)
+    v = np.zeros(groups * 8, dtype=np.uint64)
+    v[:count] = values
+    v = v.reshape(groups, 8)
+    low, crossing = _pack_tables(width)
+    words = v @ low  # the values' bits are disjoint, so sums are ORs
+    if crossing is not None:
+        rshift, high = crossing
+        words += (v >> rshift) @ high
+    packed = words.astype("<u8", copy=False).view(np.uint8)[:, :width]
+    return packed.tobytes()[: (count * width + 7) // 8]
+
+
+def unpack_bits(buf, count, width, offset=0):
+    """The `count` values of `width` <= 57 bits that pack_bits wrote at byte
+    `offset`, as unsigned ints of at least `width` bits. The caller checks
+    that those bytes are in `buf`."""
+    if count == 0 or width == 0:
+        return np.zeros(count, dtype=np.uint64)
+    groups = -(-count // 8)
+    word, byte, shift = _unpack_tables(width)
+    size = groups * width + word.itemsize - 1  # the last value reads a word from its byte
+    if offset + size > len(buf):
+        buf, offset = bytes(buf[offset: offset + groups * width]).ljust(size, b"\0"), 0
+    # row g, column b: the word from byte b of group g
+    rows = np.ndarray((groups, width), dtype=word, buffer=buf, offset=offset,
+                      strides=(width, 1))
+    values = rows[:, byte]
+    values >>= shift
+    values &= (1 << width) - 1
+    return values.ravel()[:count]
+
+
 def _ef_layout(count, universe):
     """(low bits, low bytes, high bytes) of an Elias-Fano list of `count`
     strictly increasing values below `universe`.
 
     The list stores y_i = x_i - i, which is non-decreasing and below
-    universe - count + 1; each y_i keeps its `low` lowest bits verbatim and
-    codes y_i >> low in unary as a set bit at position (y_i >> low) + i.
+    universe - count + 1; each y_i keeps its `low` lowest bits, packed by
+    pack_bits, and codes y_i >> low in unary as a set bit at position
+    (y_i >> low) + i.
     """
     if count == 0:
         return 0, 0, 0
@@ -374,11 +470,9 @@ def ef_encode(values, universe) -> bytes:
         raise ValueError("ef_encode needs strictly increasing values below universe")
     low, _, high_bytes = _ef_layout(n, universe)
     y = values - np.arange(n)
-    low_bits = ((y[:, None] >> np.arange(low)) & 1).astype(np.uint8)
     high = np.zeros(high_bytes * 8, dtype=np.uint8)
     high[(y >> low) + np.arange(n)] = 1
-    return (np.packbits(low_bits.ravel(), bitorder="little").tobytes()
-            + np.packbits(high, bitorder="little").tobytes())
+    return pack_bits(y & ((1 << low) - 1), low) + np.packbits(high, bitorder="little").tobytes()
 
 
 def ef_decode(buf, count, universe, offset=0):
@@ -391,19 +485,45 @@ def ef_decode(buf, count, universe, offset=0):
         raise IndexFormatError(f"truncated Elias-Fano list at byte {offset}")
     if count == 0:
         return np.empty(0, dtype=np.uint32), end
-    raw = np.frombuffer(buf, dtype=np.uint8, count=low_bytes + high_bytes, offset=offset)
-    low_bits = np.unpackbits(raw[:low_bytes], count=count * low, bitorder="little")
-    lows = low_bits.reshape(count, low).astype(np.int64) @ (1 << np.arange(low))
-    ones = np.flatnonzero(np.unpackbits(raw[low_bytes:], bitorder="little"))
+    high = np.frombuffer(buf, dtype=np.uint8, count=high_bytes, offset=offset + low_bytes)
+    ones = np.flatnonzero(np.unpackbits(high, bitorder="little"))
     if ones.size != count:
         raise IndexFormatError(f"Elias-Fano upper bits at byte {offset + low_bytes} "
                                f"hold {ones.size} values, expected {count}")
     rank = np.arange(count)
-    values = (((ones - rank) << low) | lows) + rank
+    values = (ones - rank) << low
+    if low:
+        values |= unpack_bits(buf, count, low, offset).astype(np.int64)
+    values += rank
     if values[-1] >= universe or (np.diff(values) <= 0).any():
         raise IndexFormatError(f"Elias-Fano list at byte {offset} is not strictly "
                                f"increasing below {universe}")
     return values.astype(np.uint32), end
+
+
+def _others(values, universe):
+    """The ints below `universe` not in `values`, ascending: the docs a list
+    lacks, or those it holds."""
+    keep = np.ones(universe, dtype=bool)
+    keep[values] = False
+    return np.flatnonzero(keep)
+
+
+def impact_width(impacts):
+    """Bits the file spends on each impact of a list: 32 for float32, else
+    the width of its largest impact minus its smallest."""
+    if impacts.dtype == np.float32:
+        return 32
+    return (int(impacts.max()) - int(impacts.min())).bit_length()
+
+
+def _impact_bytes(impacts):
+    """float32 impacts raw; integer impacts as varint base (the smallest),
+    a width byte and the packed impacts minus the base."""
+    if impacts.dtype == np.float32:
+        return np.ascontiguousarray(impacts).tobytes()
+    base, width = int(impacts.min()), impact_width(impacts)
+    return varint_encode(base) + bytes([width]) + pack_bits(impacts - base, width)
 
 
 def _index_chunks(index):
@@ -416,10 +536,13 @@ def _index_chunks(index):
     prev = -1
     for t in sorted(index.postings):
         plist = index.postings[t]
-        yield varint_encode(t - prev - 1, len(plist.ordinals))
+        count = len(plist.ordinals)
+        yield varint_encode(t - prev - 1, count)
         prev = t
-        yield ef_encode(plist.ordinals, index.doc_count)
-        yield np.ascontiguousarray(plist.impacts).tobytes()
+        lacking = 2 * count > index.doc_count  # coded by the docs it lacks
+        yield ef_encode(_others(plist.ordinals, index.doc_count) if lacking else plist.ordinals,
+                        index.doc_count)
+        yield _impact_bytes(plist.impacts)
 
 
 def serialize(index: InvertedIndex, path):
@@ -458,6 +581,36 @@ def _read_doc_table(blob, pos, doc_count):
     return doc_ids, pos
 
 
+def _read_impacts(blob, pos, count, bits):
+    """A list's `count` impacts at byte `pos`; returns (impacts, end)."""
+    start = pos
+    if bits == 0:
+        if pos + 4 * count > len(blob):
+            raise IndexFormatError(f"truncated impacts at byte {pos}")
+        impacts = np.frombuffer(blob, dtype=np.float32, count=count, offset=pos).copy()
+        if not (impacts > 0).all() or not np.isfinite(impacts).all():
+            raise IndexFormatError(f"impact not finite and positive at byte {pos}")
+        return impacts, pos + 4 * count
+    (base,), pos = varint_decode(blob, 1, pos)
+    if pos >= len(blob):
+        raise IndexFormatError(f"truncated impact width at byte {pos}")
+    width = blob[pos]
+    if width > bits:
+        raise IndexFormatError(f"packed impact width {width} above {bits} bits at byte {pos}")
+    pos += 1
+    end = pos + (count * width + 7) // 8
+    if end > len(blob):
+        raise IndexFormatError(f"truncated impacts at byte {pos}")
+    impacts = unpack_bits(blob, count, width, pos).astype(IMPACT_DTYPES[bits])
+    if base == 0:
+        raise IndexFormatError(f"impact not finite and positive at byte {start}")
+    top = base + int(impacts.max())
+    if top > 2 ** bits - 1:
+        raise IndexFormatError(f"impact {top} above 2**{bits} - 1 at byte {start}")
+    impacts += base
+    return impacts, end
+
+
 def deserialize(path) -> InvertedIndex:
     with open(path, "rb") as f:
         blob = f.read()
@@ -479,8 +632,6 @@ def deserialize(path) -> InvertedIndex:
     (n_lists,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     postings = {}
-    dtype = IMPACT_DTYPES[bits]
-    width = np.dtype(dtype).itemsize
     t = -1
     for _ in range(n_lists):
         start = pos
@@ -490,13 +641,12 @@ def deserialize(path) -> InvertedIndex:
             raise IndexFormatError(f"term id {t} >= vocab size {vocab_size} at byte {start}")
         if not 1 <= count <= doc_count:
             raise IndexFormatError(f"posting count {count} outside 1..{doc_count} at byte {start}")
-        ords, pos = ef_decode(blob, count, doc_count, pos)
-        if pos + count * width > len(blob):
-            raise IndexFormatError(f"truncated impacts at byte {pos}")
-        impacts = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).copy()
-        if not (impacts > 0).all() or not np.isfinite(impacts).all():
-            raise IndexFormatError(f"impact not finite and positive at byte {pos}")
-        pos += count * width
+        if 2 * count > doc_count:
+            absent, pos = ef_decode(blob, doc_count - count, doc_count, pos)
+            ords = _others(absent, doc_count).astype(np.uint32)
+        else:
+            ords, pos = ef_decode(blob, count, doc_count, pos)
+        impacts, pos = _read_impacts(blob, pos, count, bits)
         postings[t] = PostingList(ords, impacts)
     if pos != len(blob):
         raise IndexFormatError(f"trailing bytes at offset {pos}")

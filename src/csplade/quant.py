@@ -1,13 +1,14 @@
 """Calibration-free weight-only quantization.
 
 Symmetric linear quantization: int8 uses one scale per row (channel),
-int4 uses one scale per group of 32 values within a row. A quantized
-model runs on its dequantized float32 weights, so it saves parameter
-bytes (`param_bytes`), not time.
+int4 uses one scale per group of 32 values within a row and stores its
+codes two to a byte. A quantized model runs on its dequantized float32
+weights, so it saves parameter bytes (`param_bytes`), not time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,9 @@ class QuantConfig:
 
 
 def _quantize_array(w, cfg: QuantConfig):
-    """Returns (int8 codes, scales, group shape info)."""
+    """Returns (codes, float32 scales, one per row or group). int8 codes
+    are one int8 per weight; int4 codes are uint8 bytes holding two codes
+    each (see _pack_int4)."""
     qmax = 2 ** (cfg.bits - 1) - 1
     if cfg.granularity == PER_CHANNEL:
         groups = w.reshape(w.shape[0], -1)
@@ -46,10 +49,28 @@ def _quantize_array(w, cfg: QuantConfig):
     scales = np.abs(groups).max(axis=1, keepdims=True) / qmax
     scales[scales == 0] = 1.0  # all-zero group: any scale maps 0 -> 0
     codes = np.clip(np.round(groups / scales), -qmax, qmax).astype(np.int8)
+    if cfg.bits == 4:
+        codes = _pack_int4(codes)
     return codes, scales.astype(np.float32)
 
 
+def _pack_int4(codes):
+    """int8 codes in [-8, 7], in C order, as 4-bit two's complement, two
+    to a byte, the first in the low nibble; an odd count pads a zero."""
+    nibbles = np.append(codes.ravel(), np.zeros(codes.size % 2, np.int8)).view(np.uint8) & 0xF
+    return nibbles[0::2] | (nibbles[1::2] << 4)
+
+
+def _unpack_int4(packed, count):
+    codes = np.empty(2 * packed.size, dtype=np.int8)
+    codes[0::2] = packed & 0xF
+    codes[1::2] = packed >> 4
+    return ((codes ^ 8) - 8)[:count]  # sign-extend the 4-bit codes
+
+
 def _dequantize_array(codes, scales, shape):
+    if codes.dtype == np.uint8:  # packed int4: one row of codes per scale
+        codes = _unpack_int4(codes, math.prod(shape)).reshape(scales.shape[0], -1)
     return (codes.astype(np.float32) * scales).reshape(shape)
 
 
@@ -63,13 +84,9 @@ class QuantizedModel:
         self.fp_params = fp_params  # name -> float32 array
 
     def param_bytes(self):
-        total = 0
-        for codes, scales, _ in self.blocks.values():
-            total += codes.size * (0.5 if self.qcfg.bits == 4 else 1)
-            total += scales.size * 4
-        for arr in self.fp_params.values():
-            total += arr.size * 4
-        return int(total)
+        """The bytes the model holds: codes, scales and float32 params."""
+        return (sum(codes.nbytes + scales.nbytes for codes, scales, _ in self.blocks.values())
+                + sum(arr.nbytes for arr in self.fp_params.values()))
 
     def dequantized_model(self) -> EncoderModel:
         arrays = {name: _dequantize_array(*block) for name, block in self.blocks.items()}

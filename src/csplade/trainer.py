@@ -71,7 +71,7 @@ class AdaptConfig:
 
     def __post_init__(self):
         _check_minimums(self, steps=0, batch_size=1, seq_len=2, lr=0, warmup_steps=0,
-                        lambda_relu=0)
+                        lambda_relu=0, seed=0)
         resolve_warmup(self.warmup_steps, self.steps)
 
 
@@ -88,7 +88,7 @@ class ContrastiveConfig:
 
     def __post_init__(self):
         _check_minimums(self, epochs=0, global_batch_size=1, hard_negatives_per_positive=0,
-                        lr=0, warmup_steps=0, lambda_q=0, lambda_d=0)
+                        lr=0, warmup_steps=0, lambda_q=0, lambda_d=0, seed=0)
 
 
 class TrainReport:

@@ -181,9 +181,14 @@ class TestPipeline:
         postings = sum(len(p.ordinals) for p in idx.postings.values())
         size = (work / "index.bin").stat().st_size
         manifest = json.loads((work / "index.bin.manifest.json").read_text())
-        assert manifest["stats"] == {"docs": 40, "postings": postings, "bytes": size,
-                                     "bytes_per_posting": size / postings,
-                                     "dense_lists": len(idx.block_row)}
+        lists = idx.postings.values()
+        widths = [(int(p.impacts.max()) - int(p.impacts.min())).bit_length() for p in lists]
+        assert manifest["stats"] == {
+            "docs": 40, "postings": postings, "bytes": size,
+            "bytes_per_posting": size / postings, "dense_lists": len(idx.block_row),
+            "absent_coded_lists": sum(len(p.ordinals) > 20 for p in lists),
+            "impact_bits_per_posting":
+                sum(w * len(p.ordinals) for w, p in zip(widths, lists)) / postings}
         assert postings > 0 and idx.doc_count == 40
 
     def test_encode_manifest_stats(self, pipeline):
@@ -372,6 +377,21 @@ class TestErrors:
         assert err.startswith("error: ValueError:") and "seq_len" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "a.ckpt").exists()
+
+    @pytest.mark.parametrize("stage, args, message", [
+        ("synth", (), "seed must be >= 0, got -1"),
+        ("adapt", ("--corpus", "corpus.tsv", "--steps", 2, "--vocab-out", "v.txt"),
+         "seed must be >= 0"),
+    ])
+    def test_negative_seed_exits_one(self, synth_dir, tmp_path, capsys, monkeypatch,
+                                     stage, args, message):
+        monkeypatch.delenv("CSPLADE_DEBUG", raising=False)
+        args = [synth_dir / a if a == "corpus.tsv" else tmp_path / a if a == "v.txt" else a
+                for a in args]
+        out = tmp_path / "out"
+        assert run_cli(stage, *args, "--seed", -1, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_bad_synth_spec_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CSPLADE_DEBUG", raising=False)

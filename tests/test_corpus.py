@@ -208,6 +208,7 @@ class TestSynthGenerate:
         (dict(hard_negatives_per_query=-1), "hard_negatives_per_query"),
         (dict(base_vocab_size=0), "base_vocab_size"),
         (dict(n_synonym_pairs=0), "n_synonym_pairs"),
+        (dict(seed=-1), "^seed must be >= 0, got -1$"),
     ])
     def test_bad_spec_names_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

@@ -32,6 +32,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             EncoderConfig(vocab_size=10, **{field: value})
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            EncoderConfig(vocab_size=10, seed=-1)
+
     def test_vocab_reserves_specials(self):
         with pytest.raises(ValueError, match="vocab_size"):
             EncoderConfig(vocab_size=3)

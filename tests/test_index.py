@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from conftest import (brute_force_search, build_index_dicts, index_bytes,
                       random_sparse_rep, scatter_add_search)
 from csplade import index
-from csplade.index import (MAGIC, IndexFormatError, build_index,
-                           deserialize, ef_decode, ef_encode, read_run, search, serialize, varint_decode, varint_encode,
-                           write_run)
+from csplade.index import (MAGIC, IndexFormatError, build_index, deserialize, ef_decode,
+                           ef_encode, impact_width, pack_bits, read_run, search, serialize,
+                           unpack_bits, varint_decode, varint_encode, write_run)
 from csplade.splade import RepsBatch, SparseRep, read_reps, write_reps
 
 
@@ -120,6 +120,35 @@ class TestEliasFano:
         buf = ef_encode([1, 4, 8], 10)
         with pytest.raises(IndexFormatError, match=r"byte \d+"):
             ef_decode(buf[:-1], 3, 10)
+
+
+class TestPackBits:
+    def test_known_encoding(self):
+        # bits 0-1 hold 1, bits 2-3 hold 2, bits 4-5 hold 3
+        assert pack_bits([1, 2, 3], 2) == bytes([0b11_10_01])
+        assert pack_bits([5], 3) == b"\x05"
+        assert pack_bits([0xABC, 0x123], 12) == bytes([0xBC, 0x3A, 0x12])
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 100])
+    def test_every_width_round_trips(self, count):
+        rng = np.random.default_rng(count)
+        for width in range(58):
+            values = rng.integers(0, 2 ** width, count, dtype=np.uint64)
+            buf = pack_bits(values, width)
+            assert len(buf) == (count * width + 7) // 8
+            bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
+            want = (values[:, None] >> np.arange(width, dtype=np.uint64)) & 1
+            assert bits[: count * width].tolist() == want.ravel().tolist()
+            assert not bits[count * width:].any()
+            out = unpack_bits(b"\xff" * 3 + buf, count, width, 3)  # no slack after the end
+            assert out.dtype.kind == "u" and 8 * out.dtype.itemsize >= width
+            assert out.tolist() == values.tolist()
+            assert unpack_bits(b"\xff" * 3 + buf + b"\xff" * 9, count, width, 3).tolist() \
+                == values.tolist()
+
+    def test_width_zero_is_no_bytes(self):
+        assert pack_bits([0, 0, 0], 0) == b""
+        assert unpack_bits(b"", 3, 0).tolist() == [0, 0, 0]
 
 
 class TestBuildIndex:
@@ -540,17 +569,36 @@ class TestSerialization:
         np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_size_matches_file(self, tmp_path):
-        """The same postings written at 8, 16 and 0 (float32) bits differ in
-        size by exactly the impact bytes: 1, 2 and 4 per posting."""
-        sizes = {}
+        """The file is the header, doc table and list count plus, per list,
+        its varints, the Elias-Fano code of its ordinals (of the docs it
+        lacks when it holds over half of them) and its impacts: 4 bytes each
+        at 0 bits, else a varint base, a width byte and count x width bits."""
         for bits in (0, 8, 16):
-            idx = self._random_index(3, bits)
+            idx = build_index(_layout_docs(np.random.default_rng(3), "mixed"), bits=bits)
             path = tmp_path / f"idx{bits}.bin"
             serialize(idx, path)
-            sizes[bits] = path.stat().st_size
-        postings = sum(len(p.ordinals) for p in idx.postings.values())
-        assert sizes[16] - sizes[8] == postings
-        assert sizes[0] - sizes[8] == 3 * postings
+            size = len(MAGIC) + 13 + len(index._doc_table_bytes(idx.doc_ids)) + 4
+            prev, absent = -1, 0
+            for t in sorted(idx.postings):
+                plist = idx.postings[t]
+                count = len(plist.ordinals)
+                stored = plist.ordinals
+                if 2 * count > idx.doc_count:
+                    stored = np.setdiff1d(np.arange(idx.doc_count), plist.ordinals)
+                    absent += 1
+                size += len(varint_encode(t - prev - 1, count))
+                size += len(ef_encode(stored, idx.doc_count))
+                prev = t
+                if bits:
+                    base = int(plist.impacts.min())
+                    width = int(plist.impacts.max() - base).bit_length()
+                    assert impact_width(plist.impacts) == width
+                    size += len(varint_encode(base)) + 1 + (count * width + 7) // 8
+                else:
+                    assert impact_width(plist.impacts) == 32
+                    size += 4 * count
+            assert path.stat().st_size == size
+            assert 0 < absent < len(idx.postings)
 
     def test_empty_index_is_header_plus_count(self, tmp_path):
         idx = build_index([], bits=8)
@@ -580,10 +628,10 @@ class TestSerialization:
         serialize(self._random_index(5, 8), b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("bits, sha256", [  # CSPIDX2 bytes before dense rows
-        (0, "2070420a291627334c1400b5e62f8314ee82ff547f862821d7d2860416b39665"),
-        (8, "f7177698d67a4adf418be7d758be83a5e92e5f760236b9beeaab6996e31b7afb"),
-        (16, "04fe2b78f6e0ac8b41f98f1d0e401047ea8aa2e264bb4e71978c75f5bfc288c4"),
+    @pytest.mark.parametrize("bits, sha256", [  # CSPIDX3 bytes
+        (0, "39fbe3f788e5d4f448b2c49adf912cb13ab8bf1a3e33d27220f982998fc2ddb1"),
+        (8, "d30c360fc517c67b3338d159dc21a3afb6a5a37ead9a1ffd8f4e2e9375c72977"),
+        (16, "597016c9e514af9b07a79bdb7c7caba8b810a1f8abd6c8a1456ca5309e9b9dc4"),
     ])
     def test_bytes_unchanged_by_dense_rows(self, tmp_path, bits, sha256):
         idx = build_index(_layout_docs(np.random.default_rng(6), "mixed"), bits=bits)
@@ -594,6 +642,49 @@ class TestSerialization:
         assert hashlib.sha256(blob).hexdigest() == sha256
         serialize(deserialize(path), path)
         assert path.read_bytes() == blob
+
+
+@st.composite
+def _coded_docs(draw):
+    """Docs over up to 6 terms, each term's list full, over half the docs,
+    a single posting or of random length, its weights all equal (impact
+    width 0 when quantized) or random."""
+    n_docs = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["full", "over half", "single", "random"]),
+                          min_size=1, max_size=6))
+    equal = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    member = np.zeros((len(kinds), n_docs), dtype=bool)
+    for t, kind in enumerate(kinds):
+        count = {"full": n_docs, "over half": int(rng.integers(n_docs // 2 + 1, n_docs + 1)),
+                 "single": 1, "random": int(rng.integers(1, n_docs + 1))}[kind]
+        member[t, rng.choice(n_docs, size=count, replace=False)] = True
+    weights = rng.uniform(0.01, 3.0, size=member.shape).astype(np.float32)
+    weights[equal] = weights[equal, :1]
+    docs = [(f"d{d}", SparseRep(np.flatnonzero(member[:, d]), weights[member[:, d], d],
+                                len(kinds))) for d in range(n_docs)]
+    return docs, equal
+
+
+class TestCodecRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(_coded_docs(), st.integers(0, 2 ** 31))
+    def test_postings_and_search_survive_the_file(self, tmp_path_factory, case, seed):
+        docs, equal = case
+        rng = np.random.default_rng(seed)
+        queries = [random_sparse_rep(rng, len(equal), max_nnz=len(equal)) for _ in range(3)]
+        path = tmp_path_factory.mktemp("codec") / "idx.bin"
+        for bits in (0, 8, 16):
+            idx = build_index(docs, bits=bits)
+            serialize(idx, path)
+            loaded = deserialize(path)
+            _assert_same_index(loaded, idx)
+            for t, plist in idx.postings.items():
+                if bits and equal[t]:
+                    assert impact_width(plist.impacts) == 0
+            for q in queries:
+                a, b = search(idx, q, 5), search(loaded, q, 5)
+                assert a.doc_ids == b.doc_ids and a.scores.tobytes() == b.scores.tobytes()
 
 
 def _index_over(doc_ids):
@@ -638,8 +729,18 @@ def _raw(doc_count, table, body, vocab_size=10, bits=8):
     return MAGIC + struct.pack("<IIBf", vocab_size, doc_count, bits, 1.0) + table + body
 
 
+def _one_list(*parts):
+    """A posting section of one list from its byte strings."""
+    return struct.pack("<I", 1) + b"".join(parts)
+
+
 class TestCorruptIndex:
     TABLE_AB = b"\x02a\x02b"  # literal ids "a", "b"
+    TABLE_ABCD = b"\x02a\x02b\x02c\x02d"
+    # term 3 in both docs of TABLE_AB: absent-coded with no absent doc (no
+    # Elias-Fano bytes), impacts 1, 2 as base 1, width 1, bits 0b10
+    OK = _one_list(b"\x03\x02", b"\x01\x01\x02")
+    LIST_START = len(MAGIC) + 13 + 4 + 4  # header, TABLE_AB, list count
 
     def _load(self, tmp_path, blob):
         path = tmp_path / "bad.bin"
@@ -647,33 +748,55 @@ class TestCorruptIndex:
         return deserialize(path)
 
     def test_well_formed_raw_file_loads(self, tmp_path):
-        # one list: term 3, ordinals [0, 1] (high bits 0b11), impacts 1, 2
-        body = struct.pack("<I", 1) + b"\x03\x02" + b"\x03" + b"\x01\x02"
+        # and term 5 (gap 1) in doc "b" only: one member, universe 2, so one
+        # low bit (1) and the upper bit at 0; impact 7 as base 7, width 0
+        body = struct.pack("<I", 2) + b"\x03\x02" + b"\x01\x01\x02" \
+            + b"\x01\x01" + b"\x01\x01" + b"\x07\x00"
         idx = self._load(tmp_path, _raw(2, self.TABLE_AB, body))
         assert idx.doc_ids == ["a", "b"]
         assert idx.postings[3].ordinals.tolist() == [0, 1]
+        assert idx.postings[3].impacts.tolist() == [1, 2]
+        assert idx.postings[5].ordinals.tolist() == [1]
+        assert idx.postings[5].impacts.tolist() == [7]
+        assert idx.postings[3].impacts.dtype == np.uint8
+        assert idx.postings[3].ordinals.dtype == np.uint32
+
+    def test_absent_coded_list_loads(self, tmp_path):
+        # term 0 in 3 of 4 docs: the absent doc 2 in Elias-Fano, two low
+        # bits (0b10) and the upper bit at 0; impacts 3, 3, 3 at width 0
+        body = _one_list(b"\x00\x03", b"\x02\x01", b"\x03\x00")
+        idx = self._load(tmp_path, _raw(4, self.TABLE_ABCD, body, bits=16))
+        assert idx.postings[0].ordinals.tolist() == [0, 1, 3]
+        assert idx.postings[0].impacts.tolist() == [3, 3, 3]
+        assert idx.postings[0].impacts.dtype == np.uint16
 
     def test_ordinal_beyond_doc_count(self, tmp_path):
-        # high bits 0b101 decode to ordinals [0, 2] with doc_count 2
-        body = struct.pack("<I", 1) + b"\x03\x02" + b"\x05" + b"\x01\x02"
-        with pytest.raises(IndexFormatError, match="below 2"):
-            self._load(tmp_path, _raw(2, self.TABLE_AB, body))
+        # members: upper bits 0b100001 decode to [0, 5] with doc_count 4
+        body = _one_list(b"\x03\x02", b"\x21", b"\x01\x00")
+        with pytest.raises(IndexFormatError, match="below 4"):
+            self._load(tmp_path, _raw(4, self.TABLE_ABCD, body))
+
+    def test_absent_ordinal_beyond_doc_count(self, tmp_path):
+        # absent-coded: low bits 3, upper bit 1 decode to absent doc 7
+        body = _one_list(b"\x03\x03", b"\x03\x02", b"\x01\x00")
+        with pytest.raises(IndexFormatError, match="below 4"):
+            self._load(tmp_path, _raw(4, self.TABLE_ABCD, body))
 
     def test_ordinals_not_increasing(self, tmp_path):
         # universe 8, count 2: one low bit each; lows [1, 0] under equal highs
         table = b"".join(b"\x02" + c for c in (b"a", b"b", b"c", b"d", b"e", b"f",
                                                 b"g", b"h"))
-        body = struct.pack("<I", 1) + b"\x00\x02" + b"\x01" + b"\x03" + b"\x01\x01"
+        body = _one_list(b"\x00\x02", b"\x01" + b"\x03", b"\x01\x00")
         with pytest.raises(IndexFormatError, match="strictly increasing"):
             self._load(tmp_path, _raw(8, table, body))
 
     def test_posting_count_above_doc_count(self, tmp_path):
-        body = struct.pack("<I", 1) + b"\x03\x03" + b"\x07" + b"\x01\x01\x01"
+        body = _one_list(b"\x03\x03", b"\x01\x00")
         with pytest.raises(IndexFormatError, match="count"):
             self._load(tmp_path, _raw(2, self.TABLE_AB, body))
 
     def test_term_id_beyond_vocab(self, tmp_path):
-        body = struct.pack("<I", 1) + b"\x0a\x02" + b"\x03" + b"\x01\x02"
+        body = _one_list(b"\x0a\x02", b"\x01\x01\x02")
         with pytest.raises(IndexFormatError, match="vocab size 10 at byte"):
             self._load(tmp_path, _raw(2, self.TABLE_AB, body))
 
@@ -682,10 +805,8 @@ class TestCorruptIndex:
         (2 ** 32 + 3, 2, "term id 4294967299"),        # read as term 3 when cut to 32 bits
     ])
     def test_header_varints_past_32_bits_rejected(self, tmp_path, gap, count, match):
-        ok = struct.pack("<I", 1) + b"\x03\x02" + b"\x03" + b"\x01\x02"
-        assert self._load(tmp_path, _raw(2, self.TABLE_AB, ok)).postings[3]
-        body = struct.pack("<I", 1) + varint_encode(gap, count) \
-            + b"\x03" + b"\x01\x02"
+        assert self._load(tmp_path, _raw(2, self.TABLE_AB, self.OK)).postings[3]
+        body = _one_list(varint_encode(gap, count), b"\x01\x01\x02")
         with pytest.raises(IndexFormatError, match=match):
             self._load(tmp_path, _raw(2, self.TABLE_AB, body))
 
@@ -700,12 +821,57 @@ class TestCorruptIndex:
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_scale_not_finite_and_positive(self, tmp_path, scale):
-        ok = struct.pack("<I", 1) + b"\x03\x02" + b"\x03" + b"\x01\x02"
-        blob = bytearray(_raw(2, self.TABLE_AB, ok))
+        blob = bytearray(_raw(2, self.TABLE_AB, self.OK))
         assert self._load(tmp_path, bytes(blob)).scale == 1.0
         blob[16:20] = struct.pack("<f", scale)  # after magic (7), vocab, docs, bits
         with pytest.raises(IndexFormatError, match="not finite and positive at byte 16"):
             self._load(tmp_path, bytes(blob))
+
+    def test_previous_format_rejected_at_byte_zero(self, tmp_path):
+        blob = _raw(2, self.TABLE_AB, self.OK)
+        assert self._load(tmp_path, blob).postings[3].impacts.tolist() == [1, 2]
+        with pytest.raises(IndexFormatError, match="bad magic at byte 0"):
+            self._load(tmp_path, b"CSPIDX2" + blob[len(MAGIC):])
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_packed_width_above_bits(self, tmp_path, bits):
+        packed = b"\x02" * (2 * bits // 8)
+        ok = _one_list(b"\x03\x02", b"\x01" + bytes([bits]) + packed)
+        assert self._load(tmp_path, _raw(2, self.TABLE_AB, ok, bits=bits)).postings[3]
+        body = _one_list(b"\x03\x02", b"\x01" + bytes([bits + 1]) + packed + b"\x02")
+        with pytest.raises(IndexFormatError,
+                           match=f"width {bits + 1} above {bits} bits at byte "
+                                 f"{self.LIST_START + 3}$"):
+            self._load(tmp_path, _raw(2, self.TABLE_AB, body, bits=bits))
+
+    @pytest.mark.parametrize("bits, base, rest, top", [
+        (8, 255, b"\x01\x02", 256),              # base 255, impacts 255 and 256
+        (8, 256, b"\x00", 256),                   # width 0: every impact is the base
+        (16, 2 ** 16 - 1, b"\x01\x02", 2 ** 16),
+    ])
+    def test_impact_above_largest_code(self, tmp_path, bits, base, rest, top):
+        body = _one_list(b"\x03\x02", varint_encode(base), rest)
+        with pytest.raises(IndexFormatError,
+                           match=rf"impact {top} above 2\*\*{bits} - 1 at byte "
+                                 rf"{self.LIST_START + 2}$"):
+            self._load(tmp_path, _raw(2, self.TABLE_AB, body, bits=bits))
+
+    def test_truncated_packed_impacts(self, tmp_path):
+        # width 8: the two impacts take two bytes, and only one is there
+        body = _one_list(b"\x03\x02", b"\x01\x08\x00\x05")
+        assert self._load(tmp_path, _raw(2, self.TABLE_AB, body)).postings[3].impacts.tolist() \
+            == [1, 6]
+        with pytest.raises(IndexFormatError,
+                           match=f"truncated impacts at byte {self.LIST_START + 4}$"):
+            self._load(tmp_path, _raw(2, self.TABLE_AB, body[:-1]))
+
+    def test_truncated_absent_list(self, tmp_path):
+        # three of four docs: the absent list's two bytes, cut to one
+        body = _one_list(b"\x00\x03", b"\x02")
+        start = len(MAGIC) + 13 + len(self.TABLE_ABCD) + 4 + 2
+        with pytest.raises(IndexFormatError,
+                           match=f"truncated Elias-Fano list at byte {start}$"):
+            self._load(tmp_path, _raw(4, self.TABLE_ABCD, body))
 
     def test_huge_vocab_size_in_header(self, tmp_path):
         # the search tables follow the lists present, not the header's
@@ -729,22 +895,35 @@ class TestCorruptIndex:
     @pytest.mark.parametrize("bits, value", [(0, -1.0), (0, 0.0), (0, np.inf), (0, np.nan),
                                              (8, 0), (16, 0)])
     def test_impact_not_finite_and_positive(self, tmp_path, bits, value):
-        # the search's error bound needs finite, positive impacts; the last
-        # bytes of a file are the impacts of its last list
-        path = tmp_path / "idx.bin"
-        serialize(build_index([("a", rep([(3, 1.0)])), ("b", rep([(3, 2.0)]))], bits=bits),
-                  path)
-        blob = path.read_bytes()
-        impact = np.array([value], dtype={0: np.float32, 8: np.uint8, 16: np.uint16}[bits])
-        with pytest.raises(IndexFormatError, match="impact not finite and positive"):
-            self._load(tmp_path, blob[:-impact.nbytes] + impact.tobytes())
+        # the search's error bound needs finite, positive impacts. The last
+        # bytes of a float32 file are the impacts of its last list; an 8- or
+        # 16-bit list's smallest impact is its base, here the value
+        if bits:
+            blob = _raw(2, self.TABLE_AB, _one_list(b"\x03\x02", bytes([value]), b"\x01\x02"),
+                        bits=bits)
+        else:
+            path = tmp_path / "idx.bin"
+            serialize(build_index([("a", rep([(3, 1.0)])), ("b", rep([(3, 2.0)]))], bits=0),
+                      path)
+            blob = path.read_bytes()[:-4] + np.float32(value).tobytes()
+        with pytest.raises(IndexFormatError, match=r"impact not finite and positive at byte \d+$"):
+            self._load(tmp_path, blob)
+
+    @staticmethod
+    def _fuzz_docs(rng):
+        """Random docs and, over the first 12 docs, lists in most of them
+        (absent-coded) with few impact levels (narrow packed impacts)."""
+        docs = _layout_docs(rng, "mixed", n_docs=12)
+        docs += [(f"r{i}", random_sparse_rep(rng, 16)) for i in range(6)]
+        docs.append(("odd one", random_sparse_rep(rng, 16)))
+        return docs
 
     def test_every_truncation_rejected(self, tmp_path):
         rng = np.random.default_rng(11)
-        docs = [(f"d{i}", random_sparse_rep(rng, 20)) for i in range(12)]
-        docs.append(("odd one", random_sparse_rep(rng, 20)))
+        idx = build_index(self._fuzz_docs(rng), bits=16)
+        assert any(2 * len(p.ordinals) > idx.doc_count for p in idx.postings.values())
         path = tmp_path / "idx.bin"
-        serialize(build_index(docs, bits=16), path)
+        serialize(idx, path)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             with pytest.raises(IndexFormatError, match=r"(byte|offset) \d+"):
@@ -752,9 +931,10 @@ class TestCorruptIndex:
 
     def test_byte_flips_load_or_raise_format_error(self, tmp_path):
         rng = np.random.default_rng(12)
-        docs = [(f"d{i}", random_sparse_rep(rng, 20)) for i in range(10)]
+        idx = build_index(self._fuzz_docs(rng), bits=8)
+        assert any(2 * len(p.ordinals) > idx.doc_count for p in idx.postings.values())
         path = tmp_path / "idx.bin"
-        serialize(build_index(docs, bits=8), path)
+        serialize(idx, path)
         blob = path.read_bytes()
         for i in range(len(MAGIC), len(blob)):
             for mask in (0x01, 0x80, 0xFF):
@@ -768,6 +948,8 @@ class TestCorruptIndex:
                     assert 0 <= t < idx.vocab_size
                     assert (np.diff(plist.ordinals.astype(np.int64)) > 0).all()
                     assert plist.ordinals[-1] < idx.doc_count
+                    assert plist.impacts.dtype == np.uint8 and (plist.impacts >= 1).all()
+                    assert len(plist.impacts) == len(plist.ordinals)
 
 
 class TestRunFormat:

@@ -71,6 +71,8 @@ class TestConfigs:
         (ContrastiveConfig, "epochs", -1, "epochs must be >= 0"),
         (ContrastiveConfig, "warmup_steps", -1, "warmup_steps must be >= 0"),
         (ContrastiveConfig, "lr", -1e-3, "lr must be >= 0"),
+        (AdaptConfig, "seed", -1, "seed must be >= 0"),
+        (ContrastiveConfig, "seed", -1, "seed must be >= 0"),
     ])
     def test_out_of_range_fields_rejected(self, cls, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
