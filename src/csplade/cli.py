@@ -236,16 +236,10 @@ def cmd_index(args):
     # no name holds the reps batch: build_index frees its weights once the
     # impacts are placed, and only the index is alive while it is written
     idx = index_mod.build_index(splade.read_reps(args.reps, vocab.size), bits=args.bits)
-    _write_atomically(args.out, lambda tmp: index_mod.serialize(idx, tmp))
-    lists = idx.postings.values()
-    postings = sum(len(p.ordinals) for p in lists)
-    impact_bits = sum(len(p.ordinals) * index_mod.impact_width(p.impacts) for p in lists)
+    stats = _write_atomically(args.out, lambda tmp: index_mod.serialize(idx, tmp))
     size = Path(args.out).stat().st_size
-    stats = {"docs": idx.doc_count, "postings": postings, "bytes": size,
-             "bytes_per_posting": size / postings if postings else None,
-             "dense_lists": len(idx.block_row),
-             "absent_coded_lists": sum(2 * len(p.ordinals) > idx.doc_count for p in lists),
-             "impact_bits_per_posting": impact_bits / postings if postings else None}
+    postings = stats["postings"]
+    stats.update(bytes=size, bytes_per_posting=size / postings if postings else None)
     write_manifest(str(args.out) + ".manifest.json", "index", args, [args.out], stats)
     return 0
 

@@ -20,11 +20,10 @@ class CollectionStats:
     """Collection statistics plus per-term postings for BM25.
 
     `postings` maps a term to (doc ordinals ascending, term frequencies),
-    both int32 arrays; an ordinal indexes `doc_ids` and `doc_lengths`.
+    both int32 arrays; an ordinal indexes `doc_ids` and `doc_lengths`. A
+    term's document frequency is the number of its ordinals.
     """
-    n_docs: int
     avg_doc_len: float
-    doc_freq: dict          # term -> document frequency
     doc_ids: list           # doc id of each ordinal, in collection order
     doc_lengths: np.ndarray  # token count of each ordinal
     postings: dict          # term -> (ordinals, tf)
@@ -71,19 +70,18 @@ def build_stats(corpus) -> CollectionStats:
     term_of //= width
     bounds = np.append(np.flatnonzero(np.diff(term_of, prepend=-1)), len(ordinals))
     terms = list(vocab)
-    postings, doc_freq = {}, {}
+    postings = {}
     for t, lo, hi in zip(term_of[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         postings[terms[t]] = (ordinals[lo:hi], tf[lo:hi])
-        doc_freq[terms[t]] = hi - lo
     id_rank = np.empty(n, dtype=np.int64)
     id_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
     avg = int(lengths.sum()) / n if n else 0.0
-    return CollectionStats(n, avg, doc_freq, doc_ids, lengths, postings, id_rank)
+    return CollectionStats(avg, doc_ids, lengths, postings, id_rank)
 
 
 def _idf(stats, term):
-    df = stats.doc_freq.get(term, 0)
-    return max(0.0, math.log(1.0 + (stats.n_docs - df + 0.5) / (df + 0.5)))
+    df = len(stats.postings[term][0]) if term in stats.postings else 0
+    return max(0.0, math.log(1.0 + (len(stats.doc_ids) - df + 0.5) / (df + 0.5)))
 
 
 def bm25_score(query_tokens, doc_tokens, stats: CollectionStats,
@@ -109,10 +107,11 @@ def bm25_search(corpus, query_text, stats: CollectionStats, k) -> SearchResult:
     adds the float64 expression of `bm25_score` to the scores of the docs
     in its posting list, so every doc's score is the same sum bit for bit.
     """
-    if len(corpus) != stats.n_docs:
-        raise ValueError(f"bm25_search: corpus has {len(corpus)} docs, stats {stats.n_docs}")
+    n_docs = len(stats.doc_ids)
+    if len(corpus) != n_docs:
+        raise ValueError(f"bm25_search: corpus has {len(corpus)} docs, stats {n_docs}")
     k1, b = DEFAULT_K1, DEFAULT_B
-    acc = np.zeros(stats.n_docs, dtype=np.float64)
+    acc = np.zeros(n_docs, dtype=np.float64)
     for term in words(query_text):
         posting = stats.postings.get(term)
         if posting is None:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -284,9 +285,9 @@ def search(index: InvertedIndex, q: SparseRep, k: int) -> SearchResult:
 #   | per list, in ascending term order: varint term gap, varint count,
 #     ordinals, impacts
 #
-# Ordinals: when 2 * count > doc_count (no flag is stored; the count
-# decides), the Elias-Fano code of the doc_count - count ordinals the list
-# lacks, else of its count ordinals, both below doc_count.
+# Ordinals: when _absent_coded(count, doc_count) (no flag is stored; the
+# count decides), the Elias-Fano code of the doc_count - count ordinals
+# the list lacks, else of its count ordinals, both below doc_count.
 # Impacts: at bits 0, count float32s. At 8 and 16 bits, varint base (the
 # smallest impact, at least 1), width u8 (at most bits), then
 # ceil(count * width / 8) bytes of the impacts minus the base, packed by
@@ -501,9 +502,16 @@ def ef_decode(buf, count, universe, offset=0):
     return values.astype(np.uint32), end
 
 
+def _absent_coded(count, doc_count):
+    """Whether a list of `count` postings is coded by the docs it lacks."""
+    return 2 * count > doc_count  # it holds more than half the docs
+
+
 def _others(values, universe):
     """The ints below `universe` not in `values`, ascending: the docs a list
-    lacks, or those it holds."""
+    lacks, or those it holds. `values` are strictly increasing."""
+    if len(values) in (0, universe):  # then the others are all or none
+        return np.arange(universe - len(values))
     keep = np.ones(universe, dtype=bool)
     keep[values] = False
     return np.flatnonzero(keep)
@@ -517,18 +525,19 @@ def impact_width(impacts):
     return (int(impacts.max()) - int(impacts.min())).bit_length()
 
 
-def _impact_bytes(impacts):
+def _impact_bytes(impacts, width):
     """float32 impacts raw; integer impacts as varint base (the smallest),
-    a width byte and the packed impacts minus the base."""
+    a width byte and the packed impacts minus the base, `width` bits each."""
     if impacts.dtype == np.float32:
         return np.ascontiguousarray(impacts).tobytes()
-    base, width = int(impacts.min()), impact_width(impacts)
+    base = int(impacts.min())
     return varint_encode(base) + bytes([width]) + pack_bits(impacts - base, width)
 
 
-def _index_chunks(index):
+def _index_chunks(index, counts):
     """The index file's bytes in order: the header, the doc table, the list
-    count, then each posting list's header, ordinals and impacts."""
+    count, then each posting list's header, ordinals and impacts. Counts
+    postings, absent-coded lists and impact bits in `counts`, a Counter."""
     yield MAGIC
     yield _HEADER.pack(index.vocab_size, index.doc_count, index.bits, index.scale)
     yield _doc_table_bytes(index.doc_ids)
@@ -539,16 +548,25 @@ def _index_chunks(index):
         count = len(plist.ordinals)
         yield varint_encode(t - prev - 1, count)
         prev = t
-        lacking = 2 * count > index.doc_count  # coded by the docs it lacks
+        lacking = _absent_coded(count, index.doc_count)
         yield ef_encode(_others(plist.ordinals, index.doc_count) if lacking else plist.ordinals,
                         index.doc_count)
-        yield _impact_bytes(plist.impacts)
+        width = impact_width(plist.impacts)
+        yield _impact_bytes(plist.impacts, width)
+        counts.update(postings=count, absent_coded_lists=int(lacking), impact_bits=count * width)
 
 
 def serialize(index: InvertedIndex, path):
-    """Write the index a posting list at a time."""
+    """Write the index a posting list at a time; returns its docs, postings,
+    dense_lists (rows of `block`), absent_coded_lists and
+    impact_bits_per_posting (None without postings)."""
+    counts = Counter()
     with open(path, "wb") as f:
-        f.writelines(_index_chunks(index))
+        f.writelines(_index_chunks(index, counts))
+    postings = counts["postings"]
+    return {"docs": index.doc_count, "postings": postings, "dense_lists": len(index.block_row),
+            "absent_coded_lists": counts["absent_coded_lists"],
+            "impact_bits_per_posting": counts["impact_bits"] / postings if postings else None}
 
 
 def _read_text(blob, pos, n, what):
@@ -641,7 +659,7 @@ def deserialize(path) -> InvertedIndex:
             raise IndexFormatError(f"term id {t} >= vocab size {vocab_size} at byte {start}")
         if not 1 <= count <= doc_count:
             raise IndexFormatError(f"posting count {count} outside 1..{doc_count} at byte {start}")
-        if 2 * count > doc_count:
+        if _absent_coded(count, doc_count):
             absent, pos = ef_decode(blob, doc_count - count, doc_count, pos)
             ords = _others(absent, doc_count).astype(np.uint32)
         else:

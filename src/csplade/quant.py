@@ -2,8 +2,9 @@
 
 Symmetric linear quantization: int8 uses one scale per row (channel),
 int4 uses one scale per group of 32 values within a row and stores its
-codes two to a byte. A quantized model runs on its dequantized float32
-weights, so it saves parameter bytes (`param_bytes`), not time.
+codes two to a byte, packed by `index.pack_bits`. A quantized model runs
+on its dequantized float32 weights, so it saves parameter bytes
+(`param_bytes`), not time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderConfig, EncoderModel
+from .index import pack_bits, unpack_bits
 
 PER_CHANNEL = "per-channel"
 GROUPWISE = "group-wise"
@@ -36,8 +38,8 @@ class QuantConfig:
 
 def _quantize_array(w, cfg: QuantConfig):
     """Returns (codes, float32 scales, one per row or group). int8 codes
-    are one int8 per weight; int4 codes are uint8 bytes holding two codes
-    each (see _pack_int4)."""
+    are one int8 per weight; int4 codes are uint8 bytes holding two 4-bit
+    two's complement codes each, packed in C order by `pack_bits`."""
     qmax = 2 ** (cfg.bits - 1) - 1
     if cfg.granularity == PER_CHANNEL:
         groups = w.reshape(w.shape[0], -1)
@@ -50,36 +52,22 @@ def _quantize_array(w, cfg: QuantConfig):
     scales[scales == 0] = 1.0  # all-zero group: any scale maps 0 -> 0
     codes = np.clip(np.round(groups / scales), -qmax, qmax).astype(np.int8)
     if cfg.bits == 4:
-        codes = _pack_int4(codes)
+        codes = np.frombuffer(pack_bits(codes.ravel().view(np.uint8) & 0xF, 4), dtype=np.uint8)
     return codes, scales.astype(np.float32)
-
-
-def _pack_int4(codes):
-    """int8 codes in [-8, 7], in C order, as 4-bit two's complement, two
-    to a byte, the first in the low nibble; an odd count pads a zero."""
-    nibbles = np.append(codes.ravel(), np.zeros(codes.size % 2, np.int8)).view(np.uint8) & 0xF
-    return nibbles[0::2] | (nibbles[1::2] << 4)
-
-
-def _unpack_int4(packed, count):
-    codes = np.empty(2 * packed.size, dtype=np.int8)
-    codes[0::2] = packed & 0xF
-    codes[1::2] = packed >> 4
-    return ((codes ^ 8) - 8)[:count]  # sign-extend the 4-bit codes
 
 
 def _dequantize_array(codes, scales, shape):
     if codes.dtype == np.uint8:  # packed int4: one row of codes per scale
-        codes = _unpack_int4(codes, math.prod(shape)).reshape(scales.shape[0], -1)
+        codes = unpack_bits(codes, math.prod(shape), 4).astype(np.int8)
+        codes = ((codes ^ 8) - 8).reshape(scales.shape[0], -1)  # sign-extend
     return (codes.astype(np.float32) * scales).reshape(shape)
 
 
 class QuantizedModel:
     """Weight-only quantized encoder; 1-D params (norms, biases) stay fp32."""
 
-    def __init__(self, cfg: EncoderConfig, qcfg: QuantConfig, blocks, fp_params):
+    def __init__(self, cfg: EncoderConfig, blocks, fp_params):
         self.cfg = cfg
-        self.qcfg = qcfg
         self.blocks = blocks        # name -> (codes, scales, shape)
         self.fp_params = fp_params  # name -> float32 array
 
@@ -104,5 +92,5 @@ def quantize_weights(model: EncoderModel, cfg: QuantConfig) -> QuantizedModel:
             blocks[name] = (codes, scales, p.data.shape)
         else:
             fp_params[name] = p.data.astype(np.float32).copy()
-    return QuantizedModel(model.cfg, cfg, blocks, fp_params)
+    return QuantizedModel(model.cfg, blocks, fp_params)
 

@@ -1,5 +1,7 @@
 """Shared fixtures: synthetic benchmark data and small helper models."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ def build_index_dicts(reps, bits=8):
 
 def index_bytes(index):
     """The bytes `index.serialize` writes for `index`, as one object."""
-    return b"".join(_index_chunks(index))
+    return b"".join(_index_chunks(index, Counter()))
 
 
 def scatter_add_search(index, q, k):
@@ -283,7 +285,6 @@ def bm25_search_loop(corpus, query_text, stats, k, k1=0.9, b=0.4):
     over the query terms, then sorted by (-score, doc id): the body that
     evalkit.bm25_search replaced. It must return the same doc ids and
     float64 scores bit for bit. Returns (doc ids, scores)."""
-    from collections import Counter
     from csplade.evalkit import _idf
     q = query_text.lower().split()
     scored = []

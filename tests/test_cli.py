@@ -688,6 +688,39 @@ class TestEncodeBytes:
         assert got == self.PINNED[variant]
 
 
+class TestIndexBytes:
+    """The bytes of the `pipeline` fixture's 8-bit index, run and metrics,
+    and of `csplade index --bits 0` and `--bits 16` of its reps, pinned by
+    sha256: they pin how the index file codes each posting list, and the
+    rankings read from it. The reps come out of the BLAS GEMMs, so, as in
+    TestEncodeBytes, the hashes hold for float32 rounding as OpenBLAS 0.3 on
+    x86-64 does it; a BLAS build that rounds differently needs new hashes,
+    and then the reps hash of TestEncodeBytes changes too."""
+
+    PINNED = {
+        "index.bin": "7f44cc91772f37fd07ffbb2bff76aa769b0b5fc044d56375a8a0eeea55532ddb",
+        "run.txt": "29341924870ca38dfb1fa74e657e1bb1279ae5d14ce5f1e4deac8fe59f7f941e",
+        "metrics.csv": "6d2717a459f540e5a5611b9bc46b0089ed540977c1cdb8ae67030975395fdb90",
+    }
+
+    def test_pipeline_bytes_pinned(self, pipeline):
+        work, _ = pipeline
+        got = {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+               for name in self.PINNED}
+        assert got == self.PINNED
+
+    @pytest.mark.parametrize("bits, sha256", [
+        (0, "dab6e3cc1a9441021f56e44ae73bad98504ce3e7b1b55f8504f4edf62830dd12"),
+        (16, "3ead0cb4451a84f053c8f299abb9fc24b652439d6e9af87872993da9b03d5646"),
+    ])
+    def test_index_bits_bytes_pinned(self, pipeline, tmp_path, bits, sha256):
+        work, _ = pipeline
+        out = tmp_path / "index.bin"
+        assert run_cli("index", "--reps", work / "reps.txt", "--vocab", work / "vocab.txt",
+                       "--bits", bits, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestWhatTheEncoderSaw:
     """Words spelled like control tokens are unknown words, and the stages
     that encode text count the texts the model window cuts. An echo model at

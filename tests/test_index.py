@@ -628,6 +628,33 @@ class TestSerialization:
         serialize(self._random_index(5, 8), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    @pytest.mark.parametrize("docs, postings, absent_coded", [
+        ([], 0, 0),                                              # no docs
+        ([("a", []), ("b", [])], 0, 0),                          # docs, no postings
+        ([(f"d{i}", [(2, 1.0 + i)]) for i in range(5)], 5, 1),  # a term in every doc
+        ([("a", [(1, 0.5), (4, 2.0)]), ("b", [(4, 2.0)]), ("c", [(4, 2.0)])],
+         4, 1),                                                  # a list with one doc
+    ])
+    def test_returned_counts(self, tmp_path, bits, docs, postings, absent_coded):
+        """serialize returns the counts of what it wrote, recomputed here from
+        the loaded index: a list is coded by the docs it lacks when it holds
+        over half of them, and each impact costs 32 bits at 0 bits, else the
+        bits of its list's largest impact minus its smallest."""
+        path = tmp_path / "idx.bin"
+        counts = serialize(build_index([(d, rep(p)) for d, p in docs], bits=bits), path)
+        loaded = deserialize(path)
+        lists = loaded.postings.values()
+        total = sum(len(p.ordinals) for p in lists)
+        widths = [32 if bits == 0 else (int(p.impacts.max()) - int(p.impacts.min())).bit_length()
+                  for p in lists]
+        bits_used = sum(w * len(p.ordinals) for w, p in zip(widths, lists))
+        assert counts == {
+            "docs": len(docs), "postings": total, "dense_lists": len(loaded.block_row),
+            "absent_coded_lists": sum(len(p.ordinals) > len(docs) / 2 for p in lists),
+            "impact_bits_per_posting": bits_used / total if total else None}
+        assert (total, counts["absent_coded_lists"]) == (postings, absent_coded)
+
     @pytest.mark.parametrize("bits, sha256", [  # CSPIDX3 bytes
         (0, "39fbe3f788e5d4f448b2c49adf912cb13ab8bf1a3e33d27220f982998fc2ddb1"),
         (8, "d30c360fc517c67b3338d159dc21a3afb6a5a37ead9a1ffd8f4e2e9375c72977"),
