@@ -100,6 +100,9 @@ def tokenize(text, vocab: Vocabulary, max_len=64) -> TokenSequence:
 # --- file formats: TSV corpus/queries, TREC qrels, JSONL triples ---
 
 def load_tsv(path):
+    """id<TAB>text lines into a dict. Raises ParseError naming `path:line`
+    for a line without a tab, or an id seen before, empty or holding
+    whitespace (a run file's columns are split on it)."""
     out = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -109,6 +112,8 @@ def load_tsv(path):
             key, sep, text = line.partition("\t")
             if not sep or not key:
                 raise ParseError(f"{path}:{lineno}: expected id<TAB>text")
+            if key.split() != [key]:
+                raise ParseError(f"{path}:{lineno}: id {key!r} holds whitespace")
             if key in out:
                 raise ParseError(f"{path}:{lineno}: duplicate id {key!r}")
             out[key] = text
@@ -141,7 +146,10 @@ def load_qrels(path):
                 raise ParseError(f"{path}:{lineno}: bad relevance {parts[3]!r}") from None
             if rel < 0:
                 raise ParseError(f"{path}:{lineno}: negative relevance")
-            qrels.setdefault(qid, {})[docid] = rel
+            judged = qrels.setdefault(qid, {})
+            if docid in judged:
+                raise ParseError(f"{path}:{lineno}: duplicate judgement of {docid!r} for {qid!r}")
+            judged[docid] = rel
     return qrels
 
 

@@ -277,10 +277,9 @@ class EncoderModel:
         return logits.reshape(b, l, cfg.vocab_size)
 
     def forward_logits(self, seq: TokenSequence) -> np.ndarray:
-        """Single-sequence inference path; returns a (V, L) float array."""
-        ids = seq.ids[None, :]
-        logits = self.forward_batch(ids, np.array([seq.length]))
-        return logits.data[0].T.copy()
+        """Single-sequence inference path: the (L, V) logit rows that
+        `forward_batch` gives `seq`, one row per position."""
+        return self.forward_batch(seq.ids[None, :], np.array([seq.length])).data[0]
 
     # --- checkpoint format: magic, config key=value block, blank line,
     #     raw little-endian float32 parameter blocks in dict order ---

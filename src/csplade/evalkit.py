@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,28 +83,15 @@ def _idf(stats, term):
     return max(0.0, math.log(1.0 + (len(stats.doc_ids) - df + 0.5) / (df + 0.5)))
 
 
-def bm25_score(query_tokens, doc_tokens, stats: CollectionStats,
-               k1=DEFAULT_K1, b=DEFAULT_B) -> float:
-    tf = Counter(doc_tokens)
-    dl = len(doc_tokens)
-    norm = k1 * (1.0 - b + b * dl / stats.avg_doc_len) if stats.avg_doc_len else k1
-    score = 0.0
-    for term in query_tokens:
-        f = tf.get(term, 0)
-        if f == 0:
-            continue
-        score += _idf(stats, term) * f * (k1 + 1.0) / (f + norm)
-    return score
-
-
 def bm25_search(corpus, query_text, stats: CollectionStats, k) -> SearchResult:
     """Exhaustive BM25 at k1 = DEFAULT_K1 and b = DEFAULT_B over the
     collection `stats` was built from (`corpus`); ties break by doc id
     ascending.
 
     Term at a time: each query term, in query order and repeats included,
-    adds the float64 expression of `bm25_score` to the scores of the docs
-    in its posting list, so every doc's score is the same sum bit for bit.
+    adds idf · tf · (k1 + 1) / (tf + k1 · (1 − b + b · |d| / avgdl)) in
+    float64 to the scores of the docs in its posting list, so every doc's
+    score is the sum a doc-at-a-time loop would make, bit for bit.
     """
     n_docs = len(stats.doc_ids)
     if len(corpus) != n_docs:

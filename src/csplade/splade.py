@@ -131,14 +131,15 @@ def pool_reps(logits: Tensor, span_mask: np.ndarray) -> Tensor:
 
 
 def splade_pool(logits: np.ndarray, content_span) -> SparseRep:
-    """Pool a (V, L) logit matrix over span columns into a SparseRep."""
+    """Pool the (L, V) logit rows start:stop of `content_span` into a
+    SparseRep: the weights of `pool_reps` on one sequence, above WEIGHT_FLOOR."""
     start, stop = content_span
     if stop <= start:
         raise ValueError(f"splade_pool: empty content span {content_span}")
-    pooled = logits[:, start:stop].max(axis=1)
+    pooled = logits[start:stop].max(axis=0)
     weights = np.log1p(np.maximum(pooled, 0.0)).astype(np.float32)
     keep = np.flatnonzero(weights > WEIGHT_FLOOR)
-    return SparseRep(keep, weights[keep], vocab_size=logits.shape[0])
+    return SparseRep(keep, weights[keep], vocab_size=logits.shape[1])
 
 
 def flops_reg_t(reps: Tensor) -> Tensor:
@@ -192,10 +193,10 @@ def read_reps(path, vocab_size) -> RepsBatch:
     The file is read twice, so it must be seekable: once to count the pairs
     and once to parse them into arrays of that length.
 
-    Raises RepsFormatError naming path:line of the first line with a
-    malformed pair, unsorted or duplicate term ids, a term id outside the
-    vocabulary, or a weight that is not positive, not finite or overflows
-    float32.
+    Raises RepsFormatError naming path:line of the first line with a doc
+    id that is empty or holds whitespace, a malformed pair, unsorted or
+    duplicate term ids, a term id outside the vocabulary, or a weight that
+    is not positive, not finite or overflows float32.
     """
     with open(path, "r", encoding="utf-8") as f:
         # a first pass counts the pairs, so that each array is made once
@@ -212,6 +213,10 @@ def read_reps(path, vocab_size) -> RepsBatch:
                 line = line.rstrip("\n")
                 if line:
                     doc_id, _, rest = line.partition("\t")
+                    if doc_id.split() != [doc_id]:  # an earlier line's fault comes first
+                        _parse_block(path, linenos, rests, vocab_size)
+                        raise RepsFormatError(
+                            f"{path}:{lineno}: doc id {doc_id!r} is empty or holds whitespace")
                     doc_ids.append(doc_id)
                     linenos.append(lineno)
                     rests.append(rest)

@@ -111,6 +111,16 @@ class TestFileFormats:
         with pytest.raises(ParseError, match=":2:.*duplicate"):
             load_tsv(path)
 
+    @pytest.mark.parametrize("key", ["d 1", " d1", "d1 ", "d\x0b1", " "])
+    def test_tsv_id_with_whitespace_rejected(self, tmp_path, key):
+        """A run file splits its columns on whitespace, so an id holding any
+        would be read back as more columns than were written."""
+        path = tmp_path / "c.tsv"
+        path.write_text(f"d0\tfine\n{key}\ttext\n")
+        message = f"^{re.escape(str(path))}:2: id {re.escape(repr(key))} holds whitespace$"
+        with pytest.raises(ParseError, match=message):
+            load_tsv(path)
+
     def test_qrels_round_trip(self, tmp_path):
         qrels = {"q1": {"d1": 1, "d2": 0}, "q2": {"d3": 2}}
         path = tmp_path / "qrels.txt"
@@ -126,6 +136,15 @@ class TestFileFormats:
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1\n")
         with pytest.raises(ParseError, match=":1:"):
+            load_qrels(path)
+
+    def test_qrels_repeated_judgement_rejected(self, tmp_path):
+        """A second judgement of the same (qid, docid) would overwrite the
+        first without a word."""
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq2 0 d1 1\nq1 0 d1 0\n")
+        message = f"^{re.escape(str(path))}:3: duplicate judgement of 'd1' for 'q1'$"
+        with pytest.raises(ParseError, match=message):
             load_qrels(path)
 
     def test_triples_round_trip(self, tmp_path):

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import to_dense
 from csplade import autodiff as ad
 from csplade.autodiff import ShapeError
 from csplade.encoder import (BOS_ID, EOS_ID, PAD_ID, SEP_ID, VARIANTS,
                              EncoderConfig, EncoderModel, SequenceTooLongError,
                              TokenSequence, echo_expand)
+from csplade.splade import WEIGHT_FLOOR, pool_reps, splade_pool
 
 
 def make_model(variant="causal", seed=0, vocab_size=20, **kw):
@@ -75,7 +77,27 @@ class TestForward:
         for variant in ("causal", "bi"):
             m = make_model(variant)
             logits = m.forward_logits(TokenSequence([BOS_ID], span=(0, 1)))
-            assert logits.shape == (20, 1)
+            assert logits.shape == (1, 20)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_logits_are_the_batch_rows(self, variant):
+        """forward_logits gives the (L, V) rows of forward_batch bit for bit,
+        and splade_pool over them keeps the pool_reps row above WEIGHT_FLOOR."""
+        m = make_model(variant, seed=3)
+        seq = TokenSequence([BOS_ID, 5, 6, 7, EOS_ID], span=(1, 5))
+        if variant == "echo":
+            seq = echo_expand(seq, 16)
+        span = np.zeros((1, seq.length), dtype=bool)
+        span[0, slice(*seq.span)] = True
+        with ad.no_grad():
+            rows = m.forward_logits(seq)
+            batch = m.forward_batch(seq.ids[None], np.array([seq.length]))
+            pooled = pool_reps(batch, span).data[0]
+        assert rows.shape == (seq.length, 20)
+        assert rows.tobytes() == batch.data[0].tobytes()
+        pooled[pooled <= WEIGHT_FLOOR] = 0.0
+        assert pooled.any()
+        assert to_dense(splade_pool(rows, seq.span), np.float32).tobytes() == pooled.tobytes()
 
     def test_sequence_too_long(self):
         m = make_model()
@@ -84,7 +106,7 @@ class TestForward:
             m.forward_logits(TokenSequence(ids, span=(0, 17)))
 
     def test_causal_information_barrier_exact(self):
-        """Perturbing token j leaves every logit column < j bit-identical."""
+        """Perturbing token j leaves every logit row < j bit-identical."""
         for seed in range(5):
             m = make_model("causal", seed=seed)
             ids = np.array([BOS_ID, 5, 6, 7, EOS_ID])
@@ -93,7 +115,7 @@ class TestForward:
                 mutated = ids.copy()
                 mutated[j] = 9 if ids[j] != 9 else 10
                 out = m.forward_logits(TokenSequence(mutated, span=(1, 5)))
-                np.testing.assert_array_equal(base[:, :j], out[:, :j])
+                np.testing.assert_array_equal(base[:j], out[:j])
 
     def test_bidirectional_sees_later_tokens(self):
         """Over >= 10 random models, a late perturbation changes early logits."""
@@ -105,7 +127,7 @@ class TestForward:
             mutated = ids.copy()
             mutated[3] = 11
             out = m.forward_logits(TokenSequence(mutated, span=(1, 5)))
-            if not np.array_equal(base[:, :3], out[:, :3]):
+            if not np.array_equal(base[:3], out[:3]):
                 hits += 1
         assert hits == 10
 
@@ -121,7 +143,7 @@ class TestForward:
             np.testing.assert_allclose(out, single, atol=1e-6)
 
     def test_tied_lm_head(self):
-        """Perturbing one embedding row shifts exactly that logit row."""
+        """Perturbing one embedding row shifts exactly that logit column."""
         m = make_model("bi")
         seq = TokenSequence([BOS_ID, 5, EOS_ID], span=(1, 3))
         base = m.forward_logits(seq)
@@ -130,9 +152,9 @@ class TestForward:
         # the final hidden states are layer-normalized to zero mean)
         m.params["tok_emb"].data[7, 3] += 0.5
         out = m.forward_logits(seq)
-        assert not np.allclose(base[7], out[7])
-        np.testing.assert_array_equal(np.delete(base, 7, axis=0),
-                                      np.delete(out, 7, axis=0))
+        assert not np.allclose(base[:, 7], out[:, 7])
+        np.testing.assert_array_equal(np.delete(base, 7, axis=1),
+                                      np.delete(out, 7, axis=1))
 
     def test_logit_offset_is_constant_shift(self):
         m = make_model()
@@ -284,15 +306,15 @@ class TestEchoExpand:
             echo_expand(TokenSequence(ids, span=(1, len(ids))), 16)
 
     def test_echo_span_sees_late_tokens_under_causal_mask(self):
-        """Pooled-span columns of an early token react to a late token."""
+        """Pooled-span rows of an early token react to a late token."""
         hits = 0
         for seed in range(10):
             m = make_model("causal", seed=seed)
             base_seq = echo_expand(TokenSequence([BOS_ID, 5, 6, 7, EOS_ID], span=(1, 5)), 16)
             pert_seq = echo_expand(TokenSequence([BOS_ID, 5, 6, 11, EOS_ID], span=(1, 5)), 16)
             s, _ = base_seq.span
-            base = m.forward_logits(base_seq)[:, s]   # first content position
-            out = m.forward_logits(pert_seq)[:, s]
+            base = m.forward_logits(base_seq)[s]   # first content position
+            out = m.forward_logits(pert_seq)[s]
             if not np.array_equal(base, out):
                 hits += 1
         assert hits == 10

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bm25_search_loop
 from csplade import evalkit
-from csplade.evalkit import (DEFAULT_B, DEFAULT_K1, bm25_score, bm25_search,
-                             build_stats, metrics_csv, mrr_at_k, ndcg_at_k,
-                             recall_at_k)
+from csplade.evalkit import (DEFAULT_B, DEFAULT_K1, bm25_search, build_stats,
+                             metrics_csv, mrr_at_k, ndcg_at_k, recall_at_k)
 
 
 class TestBM25:
@@ -25,41 +25,35 @@ class TestBM25:
         exactly ln 2.
         """
         corpus = {"d1": "apple pear", "d2": "grape melon"}
-        stats = build_stats(corpus)
-        score = bm25_score(["apple"], "apple pear".split(), stats)
-        assert score == pytest.approx(math.log(2.0), abs=1e-6)
+        result = bm25_search(corpus, "apple", build_stats(corpus), 2)
+        assert result.doc_ids == ["d1"]
+        assert result.scores[0] == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_absent_term_contributes_zero(self):
-        stats = build_stats({"d1": "a b", "d2": "c d"})
-        assert bm25_score(["zzz"], ["a", "b"], stats) == 0.0
-
-    def test_b_zero_removes_length_normalization(self):
-        stats = build_stats({"d1": "a", "d2": "a b c d e f"})
-        s1 = bm25_score(["a"], ["a"], stats, b=0.0)
-        s2 = bm25_score(["a"], "a b c d e f".split(), stats, b=0.0)
-        assert s1 == pytest.approx(s2, abs=1e-9)
+        corpus = {"d1": "a b", "d2": "c d"}
+        assert len(bm25_search(corpus, "zzz", build_stats(corpus), 5)) == 0
 
     def test_idf_non_negative(self):
         # term in every doc: raw Robertson idf would be negative
-        stats = build_stats({f"d{i}": "common" for i in range(5)})
-        assert bm25_score(["common"], ["common"], stats) >= 0.0
+        corpus = {f"d{i}": "common" for i in range(5)}
+        result = bm25_search(corpus, "common", build_stats(corpus), 5)
+        assert len(result) == 5 and (result.scores > 0.0).all()
 
     def test_monotone_in_tf(self):
-        stats = build_stats({"d1": "a a a b", "d2": "c d e f"})
-        scores = [bm25_score(["a"], ["a"] * tf + ["b"] * (4 - tf), stats)
-                  for tf in range(1, 5)]
-        assert all(x < y for x, y in zip(scores, scores[1:]))
+        # four docs of equal length holding "a" 1 to 4 times
+        corpus = {f"t{tf}": " ".join(["a"] * tf + ["b"] * (4 - tf)) for tf in range(1, 5)}
+        corpus["x"] = "c d e f"
+        result = bm25_search(corpus, "a", build_stats(corpus), 5)
+        assert result.doc_ids == ["t4", "t3", "t2", "t1"]
+        assert (np.diff(result.scores) < 0).all()
 
     def test_search_hand_corpus(self):
         corpus = {"d1": "cat sat", "d2": "cat cat sat", "d3": "dog ran"}
         stats = build_stats(corpus)
         result = bm25_search(corpus, "cat", stats, 3)
-        expected = sorted(
-            ((d, bm25_score(["cat"], corpus[d].split(), stats)) for d in corpus
-             if bm25_score(["cat"], corpus[d].split(), stats) > 0),
-            key=lambda x: (-x[1], x[0]))
-        assert result.doc_ids == [d for d, _ in expected]
-        np.testing.assert_allclose(result.scores, [s for _, s in expected], atol=1e-9)
+        want_ids, want_scores = bm25_search_loop(corpus, "cat", stats, 3)
+        assert result.doc_ids == want_ids == ["d2", "d1"]
+        np.testing.assert_allclose(result.scores, want_scores, atol=1e-9)
 
     def test_empty_query(self):
         corpus = {"d1": "a"}
@@ -77,7 +71,6 @@ class TestBM25MatchesLoop:
 
     @staticmethod
     def _check(corpus, query, k):
-        from conftest import bm25_search_loop
         stats = build_stats(corpus)
         got = bm25_search(corpus, query, stats, k)
         want_ids, want_scores = bm25_search_loop(corpus, query, stats, k,

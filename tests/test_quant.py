@@ -131,7 +131,7 @@ class TestQuantizedModel:
         model, seq = model_and_seq()
         qm = quantize_weights(model, QuantConfig(bits=8, granularity=PER_CHANNEL))
         out = qm.dequantized_model().forward_logits(seq)
-        assert out.shape == (model.cfg.vocab_size, seq.length)
+        assert out.shape == (seq.length, model.cfg.vocab_size)
         ref = model.forward_logits(seq)
         h = max(float(scales.max()) for _, scales, _ in qm.blocks.values()) / 2
         err = np.abs(out - ref).max()

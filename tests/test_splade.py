@@ -67,37 +67,37 @@ class TestSparseRep:
 
 class TestSpladePool:
     def test_all_negative_logits_empty(self):
-        logits = -np.abs(np.random.default_rng(0).normal(size=(6, 4))) - 0.1
+        logits = -np.abs(np.random.default_rng(0).normal(size=(4, 6))) - 0.1
         assert splade_pool(logits, (0, 4)).nnz == 0
 
     def test_hand_value_log4(self):
-        logits = np.full((3, 2), -1.0)
-        logits[1] = [1.0, 3.0]
+        logits = np.full((2, 3), -1.0)
+        logits[:, 1] = [1.0, 3.0]
         out = splade_pool(logits, (0, 2))
         assert out.term_ids.tolist() == [1]
         assert out.weights[0] == pytest.approx(math.log(4.0), abs=1e-6)
 
-    def test_single_column_identity(self):
-        logits = np.array([[-2.0], [0.5], [2.0]])
+    def test_single_row_identity(self):
+        logits = np.array([[-2.0, 0.5, 2.0]])
         out = splade_pool(logits, (0, 1))
         assert out.term_ids.tolist() == [1, 2]
         np.testing.assert_allclose(out.weights, np.log1p([0.5, 2.0]), atol=1e-6)
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError, match="span"):
-            splade_pool(np.zeros((3, 4)), (2, 2))
+            splade_pool(np.zeros((4, 3)), (2, 2))
 
-    def test_max_only_over_span_columns(self):
-        logits = np.zeros((2, 3))
-        logits[0] = [9.0, 1.0, 9.0]  # span excludes the 9s
+    def test_max_only_over_span_rows(self):
+        logits = np.zeros((3, 2))
+        logits[:, 0] = [9.0, 1.0, 9.0]  # span excludes the 9s
         out = splade_pool(logits, (1, 2))
         assert out.weights[0] == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_dominated_position_changes_nothing(self):
         rng = np.random.default_rng(1)
-        logits = rng.normal(size=(8, 3))
-        extra = logits.max(axis=1, keepdims=True) - 0.5
-        widened = np.concatenate([logits, extra], axis=1)
+        logits = rng.normal(size=(3, 8))
+        extra = logits.max(axis=0, keepdims=True) - 0.5
+        widened = np.concatenate([logits, extra], axis=0)
         a, b = splade_pool(logits, (0, 3)), splade_pool(widened, (0, 4))
         np.testing.assert_array_equal(a.term_ids, b.term_ids)
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -106,11 +106,11 @@ class TestSpladePool:
     @given(st.integers(0, 2 ** 31))
     def test_weights_always_positive(self, seed):
         rng = np.random.default_rng(seed)
-        out = splade_pool(rng.normal(scale=3.0, size=(12, 5)), (0, 5))
+        out = splade_pool(rng.normal(scale=3.0, size=(5, 12)), (0, 5))
         assert (out.weights > 0).all()
 
     def test_pool_reps_matches_splade_pool(self):
-        """The differentiable batched pooling agrees with the (V, L) path."""
+        """The differentiable batched pooling agrees with the per-sequence path."""
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(2, 5, 9)).astype(np.float32)
         span = np.zeros((2, 5), dtype=bool)
@@ -118,7 +118,7 @@ class TestSpladePool:
         span[1, 2:5] = True
         pooled = pool_reps(Tensor(logits), span).data
         for i, (s, e) in enumerate([(1, 4), (2, 5)]):
-            expected = to_dense(splade_pool(logits[i].T, (s, e)), np.float32)
+            expected = to_dense(splade_pool(logits[i], (s, e)), np.float32)
             np.testing.assert_allclose(pooled[i], expected, atol=1e-6)
 
 
@@ -214,7 +214,7 @@ def mean_ce(mat, targets):
 class TestAdaptationLoss:
     def test_lambda_zero_equals_clm(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=(7, 4)).T[None]
+        logits = rng.normal(size=(4, 7))[None]
         total, clm, _ = adaptation_loss_batch(logits, *one_sequence([1, 2, 3, 2]),
                                               lambda_relu=0.0)
         assert float(total.data) == pytest.approx(float(clm.data), abs=1e-7)
@@ -229,7 +229,7 @@ class TestAdaptationLoss:
 
     def test_total_is_sum_of_terms(self):
         rng = np.random.default_rng(6)
-        logits = rng.normal(size=(8, 5)).T[None]
+        logits = rng.normal(size=(5, 8))[None]
         ids = np.array([1, 4, 2, 7, 3])
         total, clm, relu_clm = adaptation_loss_batch(logits, *one_sequence(ids),
                                                      lambda_relu=1.0)
@@ -246,7 +246,7 @@ class TestAdaptationLoss:
             adaptation_loss_batch(np.zeros((1, 1, 5)), *one_sequence([1]))
 
     def test_single_backward_covers_both_terms(self):
-        logits = Tensor(np.random.default_rng(7).normal(size=(6, 4)).T[None],
+        logits = Tensor(np.random.default_rng(7).normal(size=(4, 6))[None],
                         requires_grad=True, dtype=np.float64)
         total, _, _ = adaptation_loss_batch(logits, *one_sequence([1, 2, 3, 1]), 1.0)
         total.backward()
@@ -308,9 +308,9 @@ class TestComposedGradients:
             return total
 
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(5, 4))
+        x = rng.normal(size=(4, 5))
         x[np.abs(x) < 1e-3] += 2e-3
-        assert grad_check(f, Tensor(np.ascontiguousarray(x.T[None]), dtype=np.float64)) < 1e-6
+        assert grad_check(f, Tensor(x[None], dtype=np.float64)) < 1e-6
 
 
 class TestRepsFile:
@@ -447,6 +447,22 @@ class TestRepsFile:
             warnings.simplefilter("error")
             with pytest.raises(RepsFormatError, match=rf"reps\.txt:2: .*{re.escape(message)}"):
                 read_reps(path, 10)
+
+    @pytest.mark.parametrize("doc_id", ["", "d 2", " d2", "d2 ", "\x0c"])
+    def test_doc_id_empty_or_with_whitespace_rejected(self, tmp_path, doc_id):
+        """A run file splits its columns on whitespace, so such a doc id
+        would reach search and be written as more columns than a run has."""
+        path = tmp_path / "reps.txt"
+        path.write_text(f"d1\t3:1.0\n{doc_id}\t3:1.0\n")
+        message = rf"reps\.txt:2: doc id {re.escape(repr(doc_id))} is empty or holds whitespace$"
+        with pytest.raises(RepsFormatError, match=message):
+            read_reps(path, 10)
+
+    def test_doc_id_fault_after_bad_pair_names_the_earlier_line(self, tmp_path):
+        path = tmp_path / "reps.txt"
+        path.write_text("d1\t3:1.0\nd2\t3:oops\nd 3\t3:1.0\n")
+        with pytest.raises(RepsFormatError, match=r"reps\.txt:2: bad term:weight pair '3:oops'"):
+            read_reps(path, 10)
 
     @pytest.mark.parametrize("bad, message", [("2:1.0 1:1.0", "strictly increasing"),
                                               ("2:x", "bad term:weight pair '2:x'")])
