@@ -145,7 +145,7 @@ def _save_trained(args, subcommand, model, report, outputs=(), stats=None):
 
 
 def cmd_adapt(args):
-    collection = corpus_mod.load_corpus(args.corpus)
+    collection = corpus_mod.load_tsv(args.corpus)
     if args.vocab:
         vocab = corpus_mod.Vocabulary.load(args.vocab)
     else:
@@ -171,8 +171,8 @@ def cmd_adapt(args):
 
 def cmd_train(args):
     model, vocab = _load_model(args, retrain=True)
-    collection = corpus_mod.load_corpus(args.corpus)
-    queries = corpus_mod.load_queries(args.queries)
+    collection = corpus_mod.load_tsv(args.corpus)
+    queries = corpus_mod.load_tsv(args.queries)
     triples = corpus_mod.load_triples(args.triples)
     cfg = ContrastiveConfig(epochs=args.epochs, global_batch_size=args.batch, lr=args.lr,
                             hard_negatives_per_positive=args.hard_negs, warmup_steps=args.warmup,
@@ -195,9 +195,9 @@ def _require_words(path, texts, kind):
 
 
 def _encode_blocks(model, vocab, texts):
-    """(doc_id, SparseRep) of each of `texts` ({id: text}), encoded
+    """(id, SparseRep) of each of `texts` ({id: text}), encoded
     `splade.READ_BLOCK_LINES` at a time, so that a consumer holds one
-    block's reps at once."""
+    block's reps at once (`encode`'s documents, `search`'s queries)."""
     items = iter(texts.items())
     while block := list(islice(items, splade.READ_BLOCK_LINES)):
         doc_ids, block_texts = zip(*block)
@@ -245,12 +245,12 @@ def cmd_index(args):
 
 
 def cmd_search(args):
-    queries = corpus_mod.load_queries(args.queries)
+    queries = corpus_mod.load_tsv(args.queries)
     run, stats = {}, None
     if args.bm25:
         if not args.corpus:
             raise ValueError("--bm25 search requires --corpus")
-        collection = corpus_mod.load_corpus(args.corpus)
+        collection = corpus_mod.load_tsv(args.corpus)
         collection_stats = evalkit.build_stats(collection)
         for qid, text in queries.items():
             run[qid] = evalkit.bm25_search(collection, text, collection_stats, args.k)
@@ -261,8 +261,7 @@ def cmd_search(args):
         _require_words(args.queries, queries, "query")
         idx = index_mod.deserialize(args.index)
         model, vocab = _load_model(args)
-        for qid, text in queries.items():
-            rep = trainer.encode_texts(model, vocab, [text])[0]
+        for qid, rep in _encode_blocks(model, vocab, queries):
             run[qid] = index_mod.search(idx, rep, args.k)
         tag = f"csplade-{args.variant}"
         stats = trainer.truncation_stats(queries.values(), model.cfg)

@@ -9,6 +9,7 @@ construction while a learned expander can bridge the gap.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +74,8 @@ def words(text):
 def build_vocab(texts, size=None):
     """Frequency-ranked whitespace vocabulary; ties broken by first occurrence.
     Words spelled like a reserved token are skipped: they read as unknown."""
-    counts = {}
-    order = {}
-    for text in texts:
-        for tok in words(text):
-            counts[tok] = counts.get(tok, 0) + 1
-            order.setdefault(tok, len(order))
-    ranked = sorted(counts.keys() - set(RESERVED), key=lambda t: (-counts[t], order[t]))
+    counts = Counter(tok for text in texts for tok in words(text))
+    ranked = [tok for tok, _ in counts.most_common() if tok not in RESERVED]
     if size is not None:
         ranked = ranked[: max(0, size - len(RESERVED))]
     return Vocabulary(ranked)
@@ -90,19 +86,22 @@ def tokenize(text, vocab: Vocabulary, max_len=64) -> TokenSequence:
     A word spelled like a reserved token gets UNK_ID (see Vocabulary)."""
     if max_len < 2:
         raise ValueError(f"tokenize: max_len must be >= 2 (BOS and EOS), got {max_len}")
-    ids = [vocab.lookup(t) for t in words(text)]
-    if len(ids) + 2 > max_len:
-        ids = ids[: max_len - 2]
+    ids = [vocab.lookup(t) for t in words(text)[: max_len - 2]]
     seq = np.array([BOS_ID] + ids + [EOS_ID], dtype=np.int64)
     return TokenSequence(seq, span=(1, len(seq)))
 
 
 # --- file formats: TSV corpus/queries, TREC qrels, JSONL triples ---
 
+def valid_id(s):
+    """An id is one non-empty word: a run file's columns split on whitespace."""
+    return s.split() == [s]
+
+
 def load_tsv(path):
-    """id<TAB>text lines into a dict. Raises ParseError naming `path:line`
-    for a line without a tab, or an id seen before, empty or holding
-    whitespace (a run file's columns are split on it)."""
+    """id<TAB>text lines (a corpus or queries) into a dict. Raises ParseError
+    naming `path:line` for a line without a tab, an id seen before, or an id
+    that is not `valid_id`."""
     out = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -112,7 +111,7 @@ def load_tsv(path):
             key, sep, text = line.partition("\t")
             if not sep or not key:
                 raise ParseError(f"{path}:{lineno}: expected id<TAB>text")
-            if key.split() != [key]:
+            if not valid_id(key):
                 raise ParseError(f"{path}:{lineno}: id {key!r} holds whitespace")
             if key in out:
                 raise ParseError(f"{path}:{lineno}: duplicate id {key!r}")
@@ -124,10 +123,6 @@ def save_tsv(path, mapping):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for key, text in mapping.items():
             f.write(f"{key}\t{text}\n")
-
-
-load_corpus = load_tsv
-load_queries = load_tsv
 
 
 def load_qrels(path):

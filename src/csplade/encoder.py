@@ -181,10 +181,6 @@ class EncoderModel:
                         for name, shape, _ in _param_layout(cfg)}
         return model
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
     def apply_logit_offset(self, offset: float):
         """Shift all output logits by a constant.
 

@@ -79,8 +79,9 @@ def build_stats(corpus) -> CollectionStats:
 
 
 def _idf(stats, term):
-    df = len(stats.postings[term][0]) if term in stats.postings else 0
-    return max(0.0, math.log(1.0 + (len(stats.doc_ids) - df + 0.5) / (df + 0.5)))
+    """A term with postings has 0 < df <= N: its log argument is above 1."""
+    df = len(stats.postings[term][0])
+    return math.log(1.0 + (len(stats.doc_ids) - df + 0.5) / (df + 0.5))
 
 
 def bm25_search(corpus, query_text, stats: CollectionStats, k) -> SearchResult:
@@ -102,11 +103,8 @@ def bm25_search(corpus, query_text, stats: CollectionStats, k) -> SearchResult:
         posting = stats.postings.get(term)
         if posting is None:
             continue
-        ordinals, f = posting
-        if stats.avg_doc_len:
-            norm = k1 * (1.0 - b + b * stats.doc_lengths[ordinals] / stats.avg_doc_len)
-        else:
-            norm = k1
+        ordinals, f = posting  # so some doc holds a token, and avg_doc_len > 0
+        norm = k1 * (1.0 - b + b * stats.doc_lengths[ordinals] / stats.avg_doc_len)
         acc[ordinals] += _idf(stats, term) * f * (k1 + 1.0) / (f + norm)
     cand = np.flatnonzero(acc > 0)
     if 0 < k < len(cand):
@@ -116,7 +114,7 @@ def bm25_search(corpus, query_text, stats: CollectionStats, k) -> SearchResult:
     return SearchResult([stats.doc_ids[i] for i in top.tolist()], acc[top])
 
 
-# --- metrics; run: dict qid -> ranked list of (docid, score) ---
+# --- metrics; run: dict qid -> ranking, an iterable of (docid, score) pairs ---
 
 def _per_query(run, qrels, k, score):
     """`score(judged, ids)` over the top-k doc ids of every query with at
@@ -125,8 +123,7 @@ def _per_query(run, qrels, k, score):
     for qid, judged in qrels.items():
         if not any(rel > 0 for rel in judged.values()):
             continue
-        entry = run.get(qid, [])
-        ids = (entry.doc_ids if isinstance(entry, SearchResult) else [d for d, _ in entry])[:k]
+        ids = [d for d, _ in run.get(qid, [])][:k]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate docid in run for query {qid}")
         per_query[qid] = score(judged, ids)

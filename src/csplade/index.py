@@ -54,6 +54,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .corpus import valid_id
 from .splade import RepsBatch, SparseRep
 
 MAGIC = b"CSPIDX3"
@@ -118,7 +119,8 @@ def build_index(reps, bits=8) -> InvertedIndex:
     impacts, both in (term, ordinal) order. The impacts are placed first;
     the weights are then let go before the ordinals are made, so a batch
     only this call holds, as in `build_index(read_reps(...))`, is freed
-    then. A batch the caller keeps is not freed.
+    then. A batch the caller keeps is not freed. A doc id seen before or
+    not `valid_id` raises ValueError.
     """
     if bits not in IMPACT_DTYPES:
         raise ValueError(f"bits must be one of {sorted(IMPACT_DTYPES)}, got {bits}")
@@ -127,6 +129,8 @@ def build_index(reps, bits=8) -> InvertedIndex:
     for doc_id in batch.doc_ids:
         if doc_id in seen:
             raise ValueError(f"duplicate doc id {doc_id!r}")
+        if not valid_id(doc_id):
+            raise ValueError(f"doc id {doc_id!r} is empty or holds whitespace")
         seen.add(doc_id)
     del seen
     doc_ids, indptr, terms, weights = batch.doc_ids, batch.indptr, batch.term_ids, batch.weights
@@ -181,14 +185,15 @@ def build_index(reps, bits=8) -> InvertedIndex:
 
 @dataclass
 class SearchResult:
+    """A ranking; iterates as (doc_id, float score) pairs, as `read_run` rows."""
     doc_ids: list
     scores: np.ndarray
 
     def __len__(self):
         return len(self.doc_ids)
 
-    def ranking(self):
-        return list(zip(self.doc_ids, self.scores))
+    def __iter__(self):
+        return zip(self.doc_ids, self.scores.tolist())
 
 
 _U32 = 2.0 ** -24       # unit roundoff of float32
@@ -585,15 +590,18 @@ def _read_doc_table(blob, pos, doc_count):
         (h,), pos = varint_decode(blob, 1, pos)
         if not h & 1:
             doc_id, pos = _read_text(blob, pos, h >> 1, "doc id")
-            doc_ids.append(doc_id)
-            continue
-        length = h >> 1
-        (n,), pos = varint_decode(blob, 1, pos)
-        prefix, pos = _read_text(blob, pos, n, "doc-id run prefix")
-        (first,), pos = varint_decode(blob, 1, pos)
-        if not 2 <= length <= doc_count - len(doc_ids):
-            raise IndexFormatError(f"malformed doc-id run of length {length} at byte {start}")
-        doc_ids.extend(f"{prefix}{first + i}" for i in range(length))
+            ids = [doc_id]
+        else:
+            length = h >> 1
+            (n,), pos = varint_decode(blob, 1, pos)
+            prefix, pos = _read_text(blob, pos, n, "doc-id run prefix")
+            (first,), pos = varint_decode(blob, 1, pos)
+            if not 2 <= length <= doc_count - len(doc_ids):
+                raise IndexFormatError(f"malformed doc-id run of length {length} at byte {start}")
+            ids = [f"{prefix}{first + i}" for i in range(length)]
+        if not valid_id(ids[0]):  # a run's ids differ only in their digits
+            raise IndexFormatError(f"doc id {ids[0]!r} is empty or holds whitespace at byte {start}")
+        doc_ids.extend(ids)
     if len(set(doc_ids)) != len(doc_ids):
         raise IndexFormatError(f"duplicate doc id in doc table ending at byte {pos}")
     return doc_ids, pos
@@ -674,11 +682,10 @@ def deserialize(path) -> InvertedIndex:
 # --- TREC run format ---
 
 def write_run(path, run, tag="csplade"):
-    """run: dict qid -> SearchResult (or list of (docid, score))."""
+    """run: dict qid -> iterable of (docid, score), e.g. a SearchResult."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for qid, result in run.items():
-            pairs = result.ranking() if isinstance(result, SearchResult) else result
-            for rank, (docid, score) in enumerate(pairs, 1):
+        for qid, ranking in run.items():
+            for rank, (docid, score) in enumerate(ranking, 1):
                 f.write(f"{qid} Q0 {docid} {rank} {score:.6f} {tag}\n")
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import valid_id
 
 WEIGHT_FLOOR = 1e-6  # pooled entries at or below this are dropped as float noise
 READ_BLOCK_LINES = 64  # reps lines that read_reps parses and checks at once,
@@ -174,10 +175,13 @@ def adaptation_loss_batch(logits: Tensor, ids: np.ndarray, lengths: np.ndarray,
 def write_reps(path, reps):
     """Write reps, a RepsBatch or any iterable of (doc_id, SparseRep), each
     line as its pair arrives. Returns the counts of what was written:
-    {"docs", "postings", "empty_reps"}."""
+    {"docs", "postings", "empty_reps"}. A doc id that is not `valid_id`
+    raises ValueError before its line is written."""
     docs = postings = empty = 0
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc_id, rep in reps:
+            if not valid_id(doc_id):
+                raise ValueError(f"doc id {doc_id!r} is empty or holds whitespace")
             pairs = " ".join(map("{}:{:.6f}".format, rep.term_ids.tolist(), rep.weights.tolist()))
             f.write(f"{doc_id}\t{pairs}\n")
             docs += 1
@@ -213,7 +217,7 @@ def read_reps(path, vocab_size) -> RepsBatch:
                 line = line.rstrip("\n")
                 if line:
                     doc_id, _, rest = line.partition("\t")
-                    if doc_id.split() != [doc_id]:  # an earlier line's fault comes first
+                    if not valid_id(doc_id):  # an earlier line's fault comes first
                         _parse_block(path, linenos, rests, vocab_size)
                         raise RepsFormatError(
                             f"{path}:{lineno}: doc id {doc_id!r} is empty or holds whitespace")

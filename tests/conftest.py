@@ -45,7 +45,7 @@ def evaluate_mrr(model, data, k=10):
     run = {}
     qreps = encode_texts(model, data["vocab"], data["queries"].values())
     for qid, rep in zip(data["queries"].keys(), qreps):
-        run[qid] = search(idx, rep, k).ranking() if rep.nnz else []
+        run[qid] = list(search(idx, rep, k)) if rep.nnz else []
     return mrr_at_k(run, data["qrels"], k)[1]
 
 

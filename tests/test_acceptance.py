@@ -21,7 +21,7 @@ from csplade.index import build_index, deserialize, search, serialize
 from csplade.quant import GROUPWISE, PER_CHANNEL, QuantConfig, quantize_weights
 from csplade.splade import (adaptation_loss_batch, flops_reg_t, pool_reps,
                             rank_loss_t, splade_pool)
-from csplade.trainer import (AdaptConfig, ContrastiveConfig,
+from csplade.trainer import (AdaptConfig, AdamW, ContrastiveConfig,
                              empty_rep_fraction, encode_reps_tensor,
                              encode_texts, run_adaptation, run_contrastive)
 
@@ -171,7 +171,7 @@ def test_ac3_dying_relu_reproduction_and_cure(capsys, synth):
     loss = ad.add(rank_loss_t(reps, d_reps, np.arange(8)),
                   ad.add(ad.scale(flops_reg_t(reps), 0.003),
                          ad.scale(flops_reg_t(d_reps), 0.003)))
-    model.zero_grad()
+    AdamW(model.params).zero_grad()
     loss.backward()
     max_grad = max(float(np.abs(p.grad).max()) if p.grad is not None else 0.0
                    for p in model.params.values())

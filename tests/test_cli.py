@@ -758,8 +758,8 @@ class TestWhatTheEncoderSaw:
         assert stats == {"truncated_texts": 1, "dropped_words": 2}
 
     def test_train_counts_truncated_training_texts(self, synth_dir, tmp_path):
-        corpus = corpus_mod.load_corpus(synth_dir / "corpus.tsv")
-        queries = corpus_mod.load_queries(synth_dir / "queries.tsv")
+        corpus = corpus_mod.load_tsv(synth_dir / "corpus.tsv")
+        queries = corpus_mod.load_tsv(synth_dir / "queries.tsv")
         vocab = corpus_mod.build_vocab(list(corpus.values()) + list(queries.values()))
         vocab.save(tmp_path / "vocab.txt")
         EncoderModel(EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,

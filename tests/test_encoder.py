@@ -253,7 +253,8 @@ class TestFusedGraph:
     @staticmethod
     def step_grads(model, forward, pool, q_batch, d_batch):
         from csplade.splade import flops_reg_t, rank_loss_t
-        model.zero_grad()
+        from csplade.trainer import AdamW
+        AdamW(model.params).zero_grad()
         reps = []
         for ids, lengths in (q_batch, d_batch):
             span = np.arange(ids.shape[1])[None, :] < lengths[:, None]

@@ -1,6 +1,7 @@
 """Inverted-index tests: quantization, search oracle, serialization."""
 
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from conftest import (brute_force_search, build_index_dicts, index_bytes,
                       random_sparse_rep, scatter_add_search)
 from csplade import index
-from csplade.index import (MAGIC, IndexFormatError, build_index, deserialize, ef_decode,
-                           ef_encode, impact_width, pack_bits, read_run, search, serialize,
-                           unpack_bits, varint_decode, varint_encode, write_run)
+from csplade.index import (MAGIC, IndexFormatError, SearchResult, build_index, deserialize,
+                           ef_decode, ef_encode, impact_width, pack_bits, read_run, search,
+                           serialize, unpack_bits, varint_decode, varint_encode, write_run)
 from csplade.splade import RepsBatch, SparseRep, read_reps, write_reps
 
 
@@ -182,6 +183,13 @@ class TestBuildIndex:
     def test_duplicate_doc_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             build_index([("d0", rep([(1, 1.0)])), ("d0", rep([(2, 1.0)]))])
+
+    @pytest.mark.parametrize("doc_id", ["", "d 1", "d\t1", "x\n1", " d1"])
+    def test_doc_id_empty_or_with_whitespace_rejected(self, doc_id):
+        # a run file splits its columns on whitespace, so search could not
+        # write a run that read_run reads back
+        with pytest.raises(ValueError, match=re.escape(f"doc id {doc_id!r} is empty or holds")):
+            build_index([("d0", rep([(1, 1.0)])), (doc_id, rep([(2, 1.0)]))])
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError, match="bits"):
@@ -730,7 +738,7 @@ class TestDocTable:
         ["d1", "d2", "d4", "d5", "d6"],          # gap
         ["d3", "d2", "d1", "d0"],                # out of order
         ["a1b2", "a1b3", "7up", "d99999999999"],  # inner digits, huge number
-        ["é1", "é2", "naïve", "x\n1", "x\n2", ""],  # UTF-8, newline, empty id
+        ["é1", "é2", "naïve", "x-1", "x-2", "ß"],  # UTF-8, punctuation
     ])
     def test_round_trip(self, tmp_path, doc_ids):
         path = tmp_path / "idx.bin"
@@ -842,6 +850,18 @@ class TestCorruptIndex:
         with pytest.raises(IndexFormatError, match="run"):
             self._load(tmp_path, _raw(2, run_of_3, struct.pack("<I", 0)))
 
+    @pytest.mark.parametrize("doc_count, table, doc_id", [
+        (2, b"\x02a\x00", ""),              # literal empty id
+        (2, b"\x02a\x06d 1", "d 1"),        # literal id holding a space
+        (3, b"\x02a\x05\x02x\n\x01", "x\n1"),  # run "x\n1", "x\n2"
+        (3, b"\x02a\x05\x01\t\x00", "\t0"),    # run "\t0", "\t1"
+    ])
+    def test_doc_id_empty_or_with_whitespace_rejected(self, tmp_path, doc_count, table, doc_id):
+        # the bad entry starts after "a" (2 bytes) at the doc table's byte 20
+        with pytest.raises(IndexFormatError, match=re.escape(
+                f"doc id {doc_id!r} is empty or holds whitespace at byte 22")):
+            self._load(tmp_path, _raw(doc_count, table, struct.pack("<I", 0)))
+
     def test_bad_impact_width(self, tmp_path):
         with pytest.raises(IndexFormatError, match="impact width"):
             self._load(tmp_path, _raw(0, b"", struct.pack("<I", 0), bits=4))
@@ -942,7 +962,7 @@ class TestCorruptIndex:
         (absent-coded) with few impact levels (narrow packed impacts)."""
         docs = _layout_docs(rng, "mixed", n_docs=12)
         docs += [(f"r{i}", random_sparse_rep(rng, 16)) for i in range(6)]
-        docs.append(("odd one", random_sparse_rep(rng, 16)))
+        docs.append(("odd-one", random_sparse_rep(rng, 16)))
         return docs
 
     def test_every_truncation_rejected(self, tmp_path):
@@ -986,6 +1006,16 @@ class TestRunFormat:
         write_run(path, run, tag="test")
         assert read_run(path) == {"q1": [("d3", 2.5), ("d1", 1.0)],
                                   "q2": [("d2", 0.75)]}
+
+    def test_search_result_writes_as_its_pairs(self, tmp_path):
+        result = SearchResult(["d3", "d1", "d2"], np.array([2.5, 1 / 3, 1e-7]))
+        assert list(result) == [("d3", 2.5), ("d1", 1 / 3), ("d2", 1e-7)]
+        assert all(type(score) is float for _, score in result)
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_run(a, {"q1": result, "q2": SearchResult([], np.array([]))})
+        write_run(b, {"q1": list(zip(result.doc_ids, result.scores)), "q2": []})
+        assert a.read_bytes() == b.read_bytes()
+        assert read_run(a) == {"q1": [("d3", 2.5), ("d1", 0.333333), ("d2", 0.0)]}
 
     def test_format_columns(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -407,12 +407,20 @@ class TestRepsFile:
                       2 ** -19, 1 / 128, 3 / 128, 5 / 128, 0.5078125, 0.1234565, 2.0000005,
                       1234.5678125, 3.4e38], dtype=np.float32)
         path = tmp_path / "reps.txt"
-        write_reps(path, [("doc 1", SparseRep(np.arange(w.size) * 7 + 2, w, 100)),
+        write_reps(path, [("doc1", SparseRep(np.arange(w.size) * 7 + 2, w, 100)),
                           ("empty", SparseRep([], [], 100))])
         assert path.read_text() == (
-            "doc 1\t2:0.000001 9:0.000002 16:0.000002 23:0.000002 30:0.007812 37:0.023438 "
+            "doc1\t2:0.000001 9:0.000002 16:0.000002 23:0.000002 30:0.007812 37:0.023438 "
             "44:0.039062 51:0.507812 58:0.123457 65:2.000000 72:1234.567871 "
             "79:339999995214436424907732413799364296704.000000\nempty\t\n")
+
+    @pytest.mark.parametrize("doc_id", ["", "d 1", "d\t1", "d\n1", " d1"])
+    def test_write_refuses_doc_id_that_read_refuses(self, tmp_path, doc_id):
+        path = tmp_path / "reps.txt"
+        reps = [("d0", SparseRep([3], [0.5], 10)), (doc_id, SparseRep([4], [1.0], 10))]
+        with pytest.raises(ValueError, match=re.escape(f"doc id {doc_id!r} is empty or holds")):
+            write_reps(path, reps)
+        assert path.read_text() == "d0\t3:0.500000\n"  # the bad line is not written
 
     def test_bad_pair_reports_line(self, tmp_path):
         path = tmp_path / "reps.txt"
